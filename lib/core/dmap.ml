@@ -11,22 +11,6 @@
 module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
   module T = Pfds.Champ.Make (K) (V)
 
-  type t = Handle.t
-  type elt = K.t * V.t
-
-  let structure = "dmap"
-
-  let span t op f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-  let span_n t op n f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
-  let handle t = t
-  let empty_version _heap = T.empty
-
-  (* -- Composition interface: pure updates on versions ------------------ *)
-
   let insert_pure heap version key value =
     let tree', _grew = T.insert heap version key value in
     tree'
@@ -35,92 +19,50 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
      absent; callers skip the commit in that case. *)
   let remove_pure heap version key = T.remove heap version key
 
-  (* -- Backup-policy op log ---------------------------------------------- *)
-
+  (* Backup-policy op log *)
   let op_insert = 0
   let op_remove = 1
 
-  let apply heap version ~opcode ~a0 ~a1 =
-    match opcode with
-    | 0 -> insert_pure heap version (K.read heap a0) (V.read heap a1)
-    | 1 -> fst (remove_pure heap version (K.read heap a0))
-    | _ -> Printf.ksprintf failwith "dmap: unknown log opcode %d" opcode
+  include Durable.Make (struct
+    type elt = K.t * V.t
 
-  let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+    let structure = "dmap"
+    let descriptor = false
+    let empty_version _heap = T.empty
+    let shape = ("CHAMP node (scanned block)", None)
 
-  (* A null version is a valid (empty) map, so opening just binds the
-     slot; the first insert installs the first node. *)
-  let open_or_create ?persist heap ~slot =
-    let t = Handle.make heap ~slot in
-    (match (persist, Pmalloc.Heap.get_policy heap slot) with
-    | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-        invalid_arg "Dmap.open_or_create: slot is committed as Backup"
-    | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> ()
-    | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full -> Commit.enable heap ~slot
-    | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-    t
+    let apply heap version ~opcode ~a0 ~a1 =
+      match opcode with
+      | 0 -> insert_pure heap version (K.read heap a0) (V.read heap a1)
+      | 1 -> fst (remove_pure heap version (K.read heap a0))
+      | _ -> Printf.ksprintf failwith "dmap: unknown log opcode %d" opcode
 
-  let open_result heap ~slot =
-    match
-      Handle.open_slot heap ~slot
-        ~validate:(Handle.expect_shape ~expected:"CHAMP node (scanned block)")
-    with
-    | Error _ as e -> e
-    | Ok h ->
-        if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-          reconstruct heap ~slot;
-        Ok h
+    let add_op = "insert"
+    let add_pure heap version (key, value) = insert_pure heap version key value
+
+    let add_entry (key, value) =
+      match (K.log_word key, V.log_word value) with
+      | Some kw, Some vw -> Some (op_insert, kw, vw)
+      | _ -> None
+
+    (* O(n): cardinality is not materialized in the versioned state. *)
+    let size_in = T.cardinal
+    let is_empty_in _heap version = Pmem.Word.is_null version
+    let iter_in heap version fn = T.iter heap version (fun k v -> fn (k, v))
+  end)
 
   let find_in heap version key = T.find heap version key
   let mem_in heap version key = T.mem heap version key
-  let card_of heap version = T.cardinal heap version
-  let add_pure heap version (key, value) = insert_pure heap version key value
-  let size_in = card_of
-
-  (* -- Basic interface: each operation is a one-fence FASE -------------- *)
-
-  let insert t key value =
-    span t "insert" (fun () ->
-        let heap = Handle.heap t in
-        let shadow =
-          Handle.pure t (fun cur -> insert_pure heap cur key value)
-        in
-        let entry =
-          match (K.log_word key, V.log_word value) with
-          | Some kw, Some vw -> Some (op_insert, kw, vw)
-          | _ -> None
-        in
-        Handle.commit ?entry t shadow)
+  let insert t key value = add t (key, value)
+  let insert_many = add_many
 
   let remove t key =
-    span t "remove" (fun () ->
-        let heap = Handle.heap t in
-        let shadow, removed =
-          Handle.pure t (fun cur -> remove_pure heap cur key)
-        in
-        let entry =
-          match K.log_word key with
-          | Some kw -> Some (op_remove, kw, Pmem.Word.of_int 0)
-          | None -> None
-        in
-        if removed then Handle.commit ?entry t shadow;
-        removed)
-
-  (* -- Group commit: N updates, one one-fence FASE ----------------------- *)
-
-  let insert_many t kvs =
-    match kvs with
-    | [] -> ()
-    | _ ->
-        span_n t "insert_many" (List.length kvs) (fun () ->
-            let heap = Handle.heap t in
-            let b = Batch.create heap in
-            List.iter
-              (fun (k, v) ->
-                Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                    insert_pure heap version k v))
-              kvs;
-            ignore (Batch.commit b : Batch.commit_point))
+    let entry = Option.bind (K.log_word key) (Durable.scalar_entry op_remove) in
+    Option.is_some
+      (take t "remove" ?entry (fun heap cur ->
+           match remove_pure heap cur key with
+           | shadow, true -> Some ((), shadow)
+           | _, false -> None))
 
   let find t key =
     span t "find" (fun () -> find_in (Handle.heap t) (Handle.current t) key)
@@ -128,17 +70,7 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
   let mem t key =
     span t "mem" (fun () -> mem_in (Handle.heap t) (Handle.current t) key)
 
-  (* O(n): cardinality is not materialized in the versioned state. *)
-  let cardinal t = card_of (Handle.heap t) (Handle.current t)
-
+  let cardinal = size
   let iter t fn = T.iter (Handle.heap t) (Handle.current t) fn
   let fold t fn acc = T.fold (Handle.heap t) (Handle.current t) fn acc
-
-  (* -- Unified interface ({!Intf.DURABLE}) ------------------------------- *)
-
-  let add t (key, value) = insert t key value
-  let add_many = insert_many
-  let size = cardinal
-  let is_empty t = Pmem.Word.is_null (Handle.current t)
-  let iter_elts t fn = iter t (fun k v -> fn (k, v))
 end

@@ -2,24 +2,10 @@
 
     The installed version is the CHAMP root itself (null = empty map), so
     each update flushes exactly the copied tree path and nothing else.
-    Conforms to {!Intf.DURABLE} with [elt = K.t * V.t]. *)
+    A {!Durable.S} with [elt = K.t * V.t] ([add] = [insert]). *)
 
 module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) : sig
-  type t = Handle.t
-  type elt = K.t * V.t
-
-  val structure : string
-
-  val open_or_create :
-    ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
-  (** Bind [slot]; a null slot is a valid empty map.  [~persist:Backup]
-      promotes the slot to the "Don't Persist All" commit policy (see
-      {!Intf.DURABLE}). *)
-
-  val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
-  val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
-  val handle : t -> Handle.t
-  val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
+  include Durable.S with type t = Handle.t and type elt = K.t * V.t
 
   (** {1 Composition interface (Section 4.3.2): pure updates on versions} *)
 
@@ -31,9 +17,6 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) : sig
 
   val find_in : Pmalloc.Heap.t -> Pmem.Word.t -> K.t -> V.t option
   val mem_in : Pmalloc.Heap.t -> Pmem.Word.t -> K.t -> bool
-  val card_of : Pmalloc.Heap.t -> Pmem.Word.t -> int
-  val add_pure : Pmalloc.Heap.t -> Pmem.Word.t -> elt -> Pmem.Word.t
-  val size_in : Pmalloc.Heap.t -> Pmem.Word.t -> int
 
   (** {1 Basic interface (Section 4.3.1): one-fence FASEs} *)
 
@@ -51,12 +34,4 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) : sig
 
   val iter : t -> (K.t -> V.t -> unit) -> unit
   val fold : t -> (K.t -> V.t -> 'a -> 'a) -> 'a -> 'a
-
-  (** {1 Unified interface ({!Intf.DURABLE})} *)
-
-  val add : t -> elt -> unit
-  val add_many : t -> elt list -> unit
-  val size : t -> int
-  val is_empty : t -> bool
-  val iter_elts : t -> (elt -> unit) -> unit
 end

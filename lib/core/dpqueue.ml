@@ -1,116 +1,52 @@
 (** MOD durable priority queue — a sixth datastructure produced by the
     paper's recipe (Section 4.2) from a purely functional leftist heap
     ({!Pfds.Pheap}).  Included to demonstrate that new MOD datastructures
-    really are a recipe application: the whole module is a thin
-    pure-update + CommitSingle wrapper, identical in shape to the five
-    the paper ships. *)
+    really are a recipe application: the whole module is one
+    {!Durable.PURE} instance plus [find_min] / [delete_min]. *)
 
-type t = Handle.t
-type elt = int
-
-let structure = "dpqueue"
-
-let span t op f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-let span_n t op n f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
-let handle t = t
-let empty_version _heap = Pfds.Pheap.empty
-let insert_pure = Pfds.Pheap.insert
-let delete_min_pure = Pfds.Pheap.delete_min
-let add_pure = insert_pure
-
-(* -- Backup-policy op log -------------------------------------------------- *)
-
+(* Backup-policy op log *)
 let op_insert = 0
 let op_delete_min = 1
 
-let apply heap version ~opcode ~a0 ~a1 =
-  ignore a1;
-  match opcode with
-  | 0 -> Pfds.Pheap.insert heap version (Pmem.Word.to_int a0)
-  | 1 -> (
-      match Pfds.Pheap.delete_min heap version with
-      | Some (_, shadow) -> shadow
-      | None -> version)
-  | _ -> Printf.ksprintf failwith "dpqueue: unknown log opcode %d" opcode
+include Durable.Make (struct
+  type elt = int
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+  let structure = "dpqueue"
+  let descriptor = false
+  let empty_version _heap = Pfds.Pheap.empty
+  let shape = ("leftist-heap node (4 scanned words)", Some 4)
 
-(* A null version is a valid (empty) heap. *)
-let open_or_create ?persist heap ~slot =
-  let t = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dpqueue.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> ()
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full -> Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  t
+  let apply heap version ~opcode ~a0 ~a1:_ =
+    match opcode with
+    | 0 -> Pfds.Pheap.insert heap version (Pmem.Word.to_int a0)
+    | 1 -> (
+        match Pfds.Pheap.delete_min heap version with
+        | Some (_, shadow) -> shadow
+        | None -> version)
+    | _ -> Printf.ksprintf failwith "dpqueue: unknown log opcode %d" opcode
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"leftist-heap node (4 scanned words)"
-           ~words:4)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-        reconstruct heap ~slot;
-      Ok h
+  let add_op = "insert"
+  let add_pure = Pfds.Pheap.insert
+  let add_entry p = Some (op_insert, Pmem.Word.of_int p, Pmem.Word.of_int 0)
+  let size_in = Pfds.Pheap.cardinal
+  let is_empty_in _heap version = Pfds.Pheap.is_empty version
 
-let insert t p =
-  span t "insert" (fun () ->
-      let heap = Handle.heap t in
-      let shadow = Handle.pure t (fun cur -> Pfds.Pheap.insert heap cur p) in
-      Handle.commit ~entry:(op_insert, Pmem.Word.of_int p, Pmem.Word.of_int 0) t
-        shadow)
+  (* Unordered: the leftist heap has no cheap in-order traversal short of
+     draining it. *)
+  let iter_in heap version fn =
+    Pfds.Pheap.fold heap version (fun p () -> fn p) ()
+end)
+
+let insert = add
+let insert_many = add_many
 
 let find_min t =
   span t "find_min" (fun () ->
       Pfds.Pheap.find_min (Handle.heap t) (Handle.current t))
 
 let delete_min t =
-  span t "delete_min" (fun () ->
-      let heap = Handle.heap t in
-      match Handle.pure t (fun cur -> Pfds.Pheap.delete_min heap cur) with
-      | None -> None
-      | Some (p, shadow) ->
-          Handle.commit
-            ~entry:(op_delete_min, Pmem.Word.of_int 0, Pmem.Word.of_int 0)
-            t shadow;
-          Some p)
+  take t "delete_min" ~entry:(Durable.nullary_entry op_delete_min)
+    Pfds.Pheap.delete_min
 
-(* Group commit: insert N priorities in one one-fence FASE. *)
-let insert_many t ps =
-  match ps with
-  | [] -> ()
-  | _ ->
-      span_n t "insert_many" (List.length ps) (fun () ->
-          let heap = Handle.heap t in
-          let b = Batch.create heap in
-          List.iter
-            (fun p ->
-              Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                  Pfds.Pheap.insert heap version p))
-            ps;
-          ignore (Batch.commit b : Batch.commit_point))
-
-let is_empty t = Pfds.Pheap.is_empty (Handle.current t)
-let cardinal t = Pfds.Pheap.cardinal (Handle.heap t) (Handle.current t)
+let cardinal = size
 let fold t fn acc = Pfds.Pheap.fold (Handle.heap t) (Handle.current t) fn acc
-
-(* -- Unified interface ({!Intf.DURABLE}) ---------------------------------- *)
-
-let add = insert
-let add_many = insert_many
-let size = cardinal
-let size_in heap version = Pfds.Pheap.cardinal heap version
-
-(* Unordered: the leftist heap has no cheap in-order traversal short of
-   draining it. *)
-let iter_elts t fn = fold t (fun p () -> fn p) ()

@@ -1,116 +1,42 @@
 (** MOD durable queue: {!Pfds.Pqueue} (Okasaki batched queue) under
     Functional Shadowing. *)
 
-type t = Handle.t
-type elt = Pmem.Word.t
-
-let structure = "dqueue"
-
-let span t op f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-let span_n t op n f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
-let handle t = t
-let empty_version heap = Pfds.Pqueue.create heap
-let enqueue_pure = Pfds.Pqueue.enqueue
-let dequeue_pure = Pfds.Pqueue.dequeue
-let add_pure = enqueue_pure
-
-(* -- Backup-policy op log -------------------------------------------------- *)
-
+(* Backup-policy op log *)
 let op_enqueue = 0
 let op_dequeue = 1
 
-let apply heap version ~opcode ~a0 ~a1 =
-  ignore a1;
-  match opcode with
-  | 0 -> Pfds.Pqueue.enqueue heap version a0
-  | 1 -> (
-      match Pfds.Pqueue.dequeue heap version with
-      | Some (_, shadow) -> shadow
-      | None -> version)
-  | _ -> Printf.ksprintf failwith "dqueue: unknown log opcode %d" opcode
+include Durable.Make (struct
+  type elt = Pmem.Word.t
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+  let structure = "dqueue"
+  let descriptor = true
+  let empty_version = Pfds.Pqueue.create
+  let shape = ("queue descriptor (2 scanned words)", Some 2)
 
-let entry_of_elt op w =
-  if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
+  let apply heap version ~opcode ~a0 ~a1:_ =
+    match opcode with
+    | 0 -> Pfds.Pqueue.enqueue heap version a0
+    | 1 -> (
+        match Pfds.Pqueue.dequeue heap version with
+        | Some (_, shadow) -> shadow
+        | None -> version)
+    | _ -> Printf.ksprintf failwith "dqueue: unknown log opcode %d" opcode
 
-let open_or_create ?persist heap ~slot =
-  let h = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dqueue.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full ->
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Pqueue.create heap)
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
-      (* install the empty descriptor under the Full protocol, then
-         promote: the promotion commit anchors it *)
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Pqueue.create heap);
-      Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  h
+  let add_op = "enqueue"
+  let add_pure = Pfds.Pqueue.enqueue
+  let add_entry = Durable.scalar_entry op_enqueue
+  let size_in = Pfds.Pqueue.length
+  let is_empty_in = Pfds.Pqueue.is_empty
+  let iter_in = Pfds.Pqueue.iter
+end)
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"queue descriptor (2 scanned words)"
-           ~words:2)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      (if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-         reconstruct heap ~slot
-       else if not (Handle.is_initialized h) then
-         Handle.initialize h (Pfds.Pqueue.create heap));
-      Ok h
-
-let enqueue t w =
-  span t "enqueue" (fun () ->
-      let heap = Handle.heap t in
-      let shadow = Handle.pure t (fun cur -> Pfds.Pqueue.enqueue heap cur w) in
-      Handle.commit ?entry:(entry_of_elt op_enqueue w) t shadow)
+let dequeue_pure = Pfds.Pqueue.dequeue
+let enqueue = add
+let enqueue_many = add_many
 
 let dequeue t =
-  span t "dequeue" (fun () ->
-      let heap = Handle.heap t in
-      match Handle.pure t (fun cur -> Pfds.Pqueue.dequeue heap cur) with
-      | None -> None
-      | Some (v, shadow) ->
-          Handle.commit
-            ~entry:(op_dequeue, Pmem.Word.of_int 0, Pmem.Word.of_int 0)
-            t shadow;
-          Some v)
+  take t "dequeue" ~entry:(Durable.nullary_entry op_dequeue) dequeue_pure
 
-(* Group commit: enqueue N elements in one one-fence FASE. *)
-let enqueue_many t ws =
-  match ws with
-  | [] -> ()
-  | _ ->
-      span_n t "enqueue_many" (List.length ws) (fun () ->
-          let heap = Handle.heap t in
-          let b = Batch.create heap in
-          List.iter
-            (fun w ->
-              Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                  Pfds.Pqueue.enqueue heap version w))
-            ws;
-          ignore (Batch.commit b : Batch.commit_point))
-
-let is_empty t = Pfds.Pqueue.is_empty (Handle.heap t) (Handle.current t)
-let length t = Pfds.Pqueue.length (Handle.heap t) (Handle.current t)
-let iter t fn = Pfds.Pqueue.iter (Handle.heap t) (Handle.current t) fn
+let length = size
+let iter = iter_elts
 let to_list t = Pfds.Pqueue.to_list (Handle.heap t) (Handle.current t)
-
-(* -- Unified interface ({!Intf.DURABLE}) ---------------------------------- *)
-
-let add = enqueue
-let add_many = enqueue_many
-let size = length
-let size_in heap version = Pfds.Pqueue.length heap version
-let iter_elts = iter

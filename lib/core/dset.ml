@@ -1,44 +1,56 @@
-(** MOD durable set: a {!Dmap} with unit values (the paper's set shares
-    the map's CHAMP implementation the same way). *)
+(** MOD durable set: a CHAMP trie with unit values (the paper's set
+    shares the map's CHAMP implementation the same way). *)
 
 module Make (K : Pfds.Kv.CODEC) = struct
-  module M = Dmap.Make (K) (Pfds.Kv.Unit)
+  module T = Pfds.Champ.Make (K) (Pfds.Kv.Unit)
 
-  type t = M.t
-  type elt = K.t
+  (* Backup-policy op log: the map's opcodes, so a set slot replays
+     exactly as a map-to-unit slot would *)
+  let op_add = 0
+  let op_remove = 1
+  let remove_pure heap version key = T.remove heap version key
 
-  let structure = "dset"
+  include Durable.Make (struct
+    type elt = K.t
 
-  (* Spans here, not just in [M]: the outermost span owns the delta, so
-     set traffic is attributed to "dset", never double counted as
-     "dmap". *)
-  let span t op f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
+    let structure = "dset"
+    let descriptor = false
+    let empty_version _heap = T.empty
+    let shape = ("CHAMP node (scanned block)", None)
+    let add_pure heap version key = fst (T.insert heap version key ())
 
-  let span_n t op n f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
+    let apply heap version ~opcode ~a0 ~a1:_ =
+      match opcode with
+      | 0 -> add_pure heap version (K.read heap a0)
+      | 1 -> fst (remove_pure heap version (K.read heap a0))
+      | _ -> Printf.ksprintf failwith "dset: unknown log opcode %d" opcode
 
-  let open_or_create = M.open_or_create
-  let open_result = M.open_result
-  let reconstruct = M.reconstruct
-  let handle t = t
-  let empty_version = M.empty_version
-  let add_pure heap version key = M.insert_pure heap version key ()
-  let remove_pure = M.remove_pure
-  let mem_in = M.mem_in
-  let size_in = M.size_in
-  let add t key = span t "add" (fun () -> M.insert t key ())
+    let add_op = "add"
 
-  let add_many t ks =
-    span_n t "add_many" (List.length ks) (fun () ->
-        M.insert_many t (List.map (fun k -> (k, ())) ks))
+    let add_entry key =
+      Option.bind (K.log_word key) (Durable.scalar_entry op_add)
 
-  let remove t key = span t "remove" (fun () -> M.remove t key)
-  let mem t key = span t "mem" (fun () -> M.mem t key)
-  let cardinal = M.cardinal
-  let iter t fn = M.iter t (fun k () -> fn k)
-  let fold t fn acc = M.fold t (fun k () acc -> fn k acc) acc
-  let size = cardinal
-  let is_empty = M.is_empty
-  let iter_elts = iter
+    let size_in = T.cardinal
+    let is_empty_in _heap version = Pmem.Word.is_null version
+    let iter_in heap version fn = T.iter heap version (fun k () -> fn k)
+  end)
+
+  let mem_in heap version key = T.mem heap version key
+
+  let remove t key =
+    let entry = Option.bind (K.log_word key) (Durable.scalar_entry op_remove) in
+    Option.is_some
+      (take t "remove" ?entry (fun heap cur ->
+           match remove_pure heap cur key with
+           | shadow, true -> Some ((), shadow)
+           | _, false -> None))
+
+  let mem t key =
+    span t "mem" (fun () -> mem_in (Handle.heap t) (Handle.current t) key)
+
+  let cardinal = size
+  let iter = iter_elts
+
+  let fold t fn acc =
+    T.fold (Handle.heap t) (Handle.current t) (fun k () acc -> fn k acc) acc
 end

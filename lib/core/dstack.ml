@@ -4,118 +4,45 @@
     node, pop shares the tail, each Basic-interface operation is a
     one-fence FASE. *)
 
-type t = Handle.t
-type elt = Pmem.Word.t
-
-let structure = "dstack"
-
-let span t op f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-let span_n t op n f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
-let handle t = t
-let empty_version _heap = Pfds.Pstack.empty
-let push_pure = Pfds.Pstack.push
-let pop_pure = Pfds.Pstack.pop
-let add_pure = push_pure
-
-(* -- Backup-policy op log -------------------------------------------------- *)
-
+(* Backup-policy op log *)
 let op_push = 0
 let op_pop = 1
 
-let apply heap version ~opcode ~a0 ~a1 =
-  ignore a1;
-  match opcode with
-  | 0 -> Pfds.Pstack.push heap version a0
-  | 1 -> (
-      match Pfds.Pstack.pop heap version with
-      | Some (_, shadow) -> shadow
-      | None -> version)
-  | _ -> Printf.ksprintf failwith "dstack: unknown log opcode %d" opcode
+include Durable.Make (struct
+  type elt = Pmem.Word.t
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+  let structure = "dstack"
+  let descriptor = false
+  let empty_version _heap = Pfds.Pstack.empty
+  let shape = ("stack cons cell (2 scanned words)", Some 2)
 
-(* Only scalar elements can ride in a log entry; a pointer-valued push
-   (blob element) forces a checkpoint instead. *)
-let entry_of_elt op w =
-  if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
+  let apply heap version ~opcode ~a0 ~a1:_ =
+    match opcode with
+    | 0 -> Pfds.Pstack.push heap version a0
+    | 1 -> (
+        match Pfds.Pstack.pop heap version with
+        | Some (_, shadow) -> shadow
+        | None -> version)
+    | _ -> Printf.ksprintf failwith "dstack: unknown log opcode %d" opcode
 
-(* A null version is a valid (empty) stack, so opening just binds the
-   slot; the first push installs the first node. *)
-let open_or_create ?persist heap ~slot =
-  let t = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dstack.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> ()
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full -> Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  t
+  let add_op = "push"
+  let add_pure = Pfds.Pstack.push
+  let add_entry = Durable.scalar_entry op_push
+  let size_in = Pfds.Pstack.length
+  let is_empty_in _heap version = Pfds.Pstack.is_empty version
+  let iter_in = Pfds.Pstack.iter
+end)
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"stack cons cell (2 scanned words)"
-           ~words:2)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-        reconstruct heap ~slot;
-      Ok h
+let push = add
+let push_many = add_many
 
-let push t w =
-  span t "push" (fun () ->
-      let heap = Handle.heap t in
-      let shadow = Handle.pure t (fun cur -> Pfds.Pstack.push heap cur w) in
-      Handle.commit ?entry:(entry_of_elt op_push w) t shadow)
-
-(* Pop returns the value word of the popped element; for inline scalars
-   this is the value itself.  For blob-valued stacks, read the payload via
-   [peek] before popping: the commit inside [pop] releases the old version
-   and with it the last reference to the popped blob. *)
 let pop t =
-  span t "pop" (fun () ->
-      let heap = Handle.heap t in
-      match Handle.pure t (fun cur -> Pfds.Pstack.pop heap cur) with
-      | None -> None
-      | Some (v, shadow) ->
-          Handle.commit ~entry:(op_pop, Pmem.Word.of_int 0, Pmem.Word.of_int 0)
-            t shadow;
-          Some v)
-
-(* Group commit: push N elements in one one-fence FASE. *)
-let push_many t ws =
-  match ws with
-  | [] -> ()
-  | _ ->
-      span_n t "push_many" (List.length ws) (fun () ->
-          let heap = Handle.heap t in
-          let b = Batch.create heap in
-          List.iter
-            (fun w ->
-              Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                  Pfds.Pstack.push heap version w))
-            ws;
-          ignore (Batch.commit b : Batch.commit_point))
+  take t "pop" ~entry:(Durable.nullary_entry op_pop) Pfds.Pstack.pop
 
 let peek t =
   span t "peek" (fun () ->
       Pfds.Pstack.peek (Handle.heap t) (Handle.current t))
 
-let is_empty t = Pfds.Pstack.is_empty (Handle.current t)
-let length t = Pfds.Pstack.length (Handle.heap t) (Handle.current t)
-let iter t fn = Pfds.Pstack.iter (Handle.heap t) (Handle.current t) fn
+let length = size
+let iter = iter_elts
 let to_list t = Pfds.Pstack.to_list (Handle.heap t) (Handle.current t)
-
-(* -- Unified interface ({!Intf.DURABLE}) ---------------------------------- *)
-
-let add = push
-let add_many = push_many
-let size = length
-let size_in heap version = Pfds.Pstack.length heap version
-let iter_elts = iter

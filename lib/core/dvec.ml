@@ -4,157 +4,77 @@
     Figure 7b multi-update FASE: two pure updates chained through an
     intermediate shadow, one CommitSingle. *)
 
-type t = Handle.t
-type elt = Pmem.Word.t
-
-let structure = "dvec"
-
-let span t op f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-let span_n t op n f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
-let handle t = t
-
-(* -- Backup-policy op log -------------------------------------------------- *)
-
+(* Backup-policy op log *)
 let op_push_back = 0
 let op_set = 1
 let op_pop_back = 2
 let op_swap = 3
 
-let apply heap version ~opcode ~a0 ~a1 =
-  match opcode with
-  | 0 -> Pfds.Pvec.push_back heap version a0
-  | 1 -> Pfds.Pvec.set heap version (Pmem.Word.to_int a0) a1
-  | 2 -> snd (Pfds.Pvec.pop_back heap version)
-  | 3 ->
-      let i = Pmem.Word.to_int a0 and j = Pmem.Word.to_int a1 in
-      let vi = Pfds.Pvec.get heap version i in
-      let vj = Pfds.Pvec.get heap version j in
-      let shadow = Pfds.Pvec.set heap version i vj in
-      let shadow_shadow = Pfds.Pvec.set heap shadow j vi in
-      Commit.release_version heap shadow;
-      shadow_shadow
-  | _ -> Printf.ksprintf failwith "dvec: unknown log opcode %d" opcode
+(* The two pure updates of a swap: returns the intermediate shadow and
+   the final one. *)
+let swap_pure heap v i j =
+  let vi = Pfds.Pvec.get heap v i in
+  let vj = Pfds.Pvec.get heap v j in
+  let shadow = Pfds.Pvec.set heap v i vj in
+  (shadow, Pfds.Pvec.set heap shadow j vi)
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+include Durable.Make (struct
+  type elt = Pmem.Word.t
 
-let entry_of_elt op w =
-  if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
+  let structure = "dvec"
+  let descriptor = true
+  let empty_version = Pfds.Pvec.create
+  let shape = ("vector descriptor (4 scanned words)", Some 4)
 
-let open_or_create ?persist heap ~slot =
-  let h = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dvec.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full ->
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Pvec.create heap)
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Pvec.create heap);
-      Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  h
+  let apply heap version ~opcode ~a0 ~a1 =
+    match opcode with
+    | 0 -> Pfds.Pvec.push_back heap version a0
+    | 1 -> Pfds.Pvec.set heap version (Pmem.Word.to_int a0) a1
+    | 2 -> snd (Pfds.Pvec.pop_back heap version)
+    | 3 ->
+        let shadow, shadow_shadow =
+          swap_pure heap version (Pmem.Word.to_int a0) (Pmem.Word.to_int a1)
+        in
+        Commit.release_version heap shadow;
+        shadow_shadow
+    | _ -> Printf.ksprintf failwith "dvec: unknown log opcode %d" opcode
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"vector descriptor (4 scanned words)"
-           ~words:4)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      (if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-         reconstruct heap ~slot
-       else if not (Handle.is_initialized h) then
-         Handle.initialize h (Pfds.Pvec.create heap));
-      Ok h
+  let add_op = "push_back"
+  let add_pure = Pfds.Pvec.push_back
+  let add_entry = Durable.scalar_entry op_push_back
+  let size_in = Pfds.Pvec.size
+  let is_empty_in heap version = Pfds.Pvec.size heap version = 0
+  let iter_in = Pfds.Pvec.iter
+end)
 
-(* -- Composition interface ------------------------------------------------ *)
-
-let empty_version heap = Pfds.Pvec.create heap
-let push_back_pure = Pfds.Pvec.push_back
-let set_pure = Pfds.Pvec.set
-let pop_back_pure = Pfds.Pvec.pop_back
-let get_in = Pfds.Pvec.get
-let size_in = Pfds.Pvec.size
-let add_pure = push_back_pure
-
-(* -- Basic interface ------------------------------------------------------ *)
-
-let push_back t w =
-  span t "push_back" (fun () ->
-      let heap = Handle.heap t in
-      let shadow = Handle.pure t (fun cur -> Pfds.Pvec.push_back heap cur w) in
-      Handle.commit ?entry:(entry_of_elt op_push_back w) t shadow)
+let push_back = add
+let push_back_many = add_many
 
 let set t i w =
-  span t "set" (fun () ->
-      let heap = Handle.heap t in
-      let shadow = Handle.pure t (fun cur -> Pfds.Pvec.set heap cur i w) in
-      let entry =
-        if Pmem.Word.is_ptr w then None else Some (op_set, Pmem.Word.of_int i, w)
-      in
-      Handle.commit ?entry t shadow)
+  let entry =
+    if Pmem.Word.is_ptr w then None else Some (op_set, Pmem.Word.of_int i, w)
+  in
+  update t "set" ?entry (fun heap cur -> Pfds.Pvec.set heap cur i w)
 
 let pop_back t =
-  span t "pop_back" (fun () ->
-      let heap = Handle.heap t in
-      let v, shadow = Handle.pure t (fun cur -> Pfds.Pvec.pop_back heap cur) in
-      Handle.commit
-        ~entry:(op_pop_back, Pmem.Word.of_int 0, Pmem.Word.of_int 0)
-        t shadow;
-      v)
+  take t "pop_back" ~entry:(Durable.nullary_entry op_pop_back)
+    (fun heap cur -> Some (Pfds.Pvec.pop_back heap cur))
+  |> Option.get
 
-(* Swap two elements failure-atomically: Figure 7b.  The first update
-   produces VectorPtrShadow, the second VectorPtrShadowShadow; Commit
-   installs the latter and reclaims the intermediate.  Under Backup the
-   whole multi-update FASE is one log entry: replay re-derives both
-   element values from the version it rebuilds. *)
+(* Figure 7b: the first update produces VectorPtrShadow, the second
+   VectorPtrShadowShadow; Commit installs the latter and reclaims the
+   intermediate.  Under Backup the whole multi-update FASE is one log
+   entry: replay re-derives both element values from the version it
+   rebuilds. *)
 let swap t i j =
-  span t "swap" (fun () ->
-      let heap = Handle.heap t in
-      let shadow, shadow_shadow =
-        Handle.pure t (fun v ->
-            let vi = Pfds.Pvec.get heap v i in
-            let vj = Pfds.Pvec.get heap v j in
-            let shadow = Pfds.Pvec.set heap v i vj in
-            (shadow, Pfds.Pvec.set heap shadow j vi))
-      in
-      Handle.commit ~intermediates:[ shadow ]
-        ~entry:(op_swap, Pmem.Word.of_int i, Pmem.Word.of_int j)
-        t shadow_shadow)
-
-(* Group commit: push N elements in one one-fence FASE, intermediate
-   shadows reclaimed at the commit (the batched form of Figure 7b). *)
-let push_back_many t ws =
-  match ws with
-  | [] -> ()
-  | _ ->
-      span_n t "push_back_many" (List.length ws) (fun () ->
-          let heap = Handle.heap t in
-          let b = Batch.create heap in
-          List.iter
-            (fun w ->
-              Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                  Pfds.Pvec.push_back heap version w))
-            ws;
-          ignore (Batch.commit b : Batch.commit_point))
+  ignore
+    (take t "swap"
+       ~entry:(op_swap, Pmem.Word.of_int i, Pmem.Word.of_int j)
+       ~intermediates:(fun shadow -> [ shadow ])
+       (fun heap v -> Some (swap_pure heap v i j)))
 
 let get t i =
   span t "get" (fun () -> Pfds.Pvec.get (Handle.heap t) (Handle.current t) i)
 
-let size t = Pfds.Pvec.size (Handle.heap t) (Handle.current t)
-let is_empty t = size t = 0
-let iter t fn = Pfds.Pvec.iter (Handle.heap t) (Handle.current t) fn
+let iter = iter_elts
 let to_list t = Pfds.Pvec.to_list (Handle.heap t) (Handle.current t)
-
-(* -- Unified interface ({!Intf.DURABLE}) ---------------------------------- *)
-
-let add = push_back
-let add_many = push_back_many
-let iter_elts = iter

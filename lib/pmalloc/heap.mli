@@ -106,8 +106,7 @@ val attach_telemetry : ?sink:Telemetry.Sink.t -> t -> Telemetry.t
 val span :
   t -> structure:string -> op:string -> ?ops:int -> (unit -> 'a) -> 'a
 (** [span t ~structure ~op f] runs [f] under the heap's collector (see
-    {!Telemetry.span_on}); with no collector attached it falls back to
-    the deprecated process-wide one, and with neither it is a couple of
+    {!Telemetry.span_on}); with no collector attached it is a couple of
     word reads. *)
 
 val root_get : t -> int -> Pmem.Word.t

@@ -76,9 +76,7 @@ let op_pause t =
    would go negative against the zeroed counters. *)
 let start_measuring t =
   Pmem.Stats.reset (stats t);
-  (match Pmalloc.Heap.telemetry t.heap with
-  | Some c -> Telemetry.reset c
-  | None -> Telemetry.on_stats_reset (stats t));
+  Option.iter Telemetry.reset (Pmalloc.Heap.telemetry t.heap);
   Pmem.Trace.clear (Pmalloc.Heap.trace t.heap)
 
 (* Telemetry gauge sampler over this context's allocator. *)

@@ -191,7 +191,7 @@ let composition_crash_tests =
                in every crash mode -- the two map updates of a reservation
                are atomic because they share one parent swap *)
             let stock = Option.get (Imap.find_in heap (field 0) 1) in
-            let orders = Imap.card_of heap (field 1) in
+            let orders = Imap.size_in heap (field 1) in
             Alcotest.(check int)
               (Printf.sprintf "stock %d + orders %d = 10" stock orders)
               10 (stock + orders))

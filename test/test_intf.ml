@@ -1,4 +1,4 @@
-(* Signature-conformance tests for the unified {!Mod_core.Intf.DURABLE}
+(* Signature-conformance tests for the unified {!Mod_core.Durable.S}
    interface: one functor exercised over all seven durable structures,
    plus the typed open-path errors ({!Mod_core.Error.t}). *)
 
@@ -9,8 +9,8 @@ module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
 module Iset = Mod_core.Dset.Make (Pfds.Kv.Int)
 
 (* The conformance suite itself: everything here is written against
-   DURABLE alone, so it compiles once and runs for each structure. *)
-module Conf (D : Mod_core.Intf.DURABLE) (E : sig
+   Durable.S alone, so it compiles once and runs for each structure. *)
+module Conf (D : Mod_core.Durable.S) (E : sig
   val mk : int -> D.elt
 end) =
 struct
@@ -56,12 +56,49 @@ struct
       "handle is non-null after inserts" false
       (Pmem.Word.is_null (Mod_core.Handle.current (D.handle t)));
     (* out-of-range slot is a typed error, not an exception *)
-    match D.open_result heap ~slot:Pmalloc.Heap.root_slots with
+    (match D.open_result heap ~slot:Pmalloc.Heap.root_slots with
     | Error (Mod_core.Error.Slot_out_of_range _) -> ()
     | Ok _ -> Alcotest.failf "%s: out-of-range slot opened" D.structure
     | Error e ->
         Alcotest.failf "%s: out-of-range slot: wrong error %s" D.structure
-          (Mod_core.Error.to_string e)
+          (Mod_core.Error.to_string e));
+    (* the policy matrix: demoting a Backup-committed slot to Full would
+       silently drop the log's tail, so it must raise *)
+    ignore (D.open_or_create ~persist:Pmalloc.Heap.Backup heap ~slot:1);
+    match D.open_or_create ~persist:Pmalloc.Heap.Full heap ~slot:1 with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: demotion to Full accepted silently" D.structure
+
+  (* An empty group commit retires nothing: the size is unchanged and no
+     telemetry row appears, so every row keeps [r_ops >= r_spans]. *)
+  let empty_batch ?persist ?(commit_mode = Pmalloc.Heap.Swing) () =
+    let heap = mk_heap () in
+    Pmalloc.Heap.set_commit_mode heap commit_mode;
+    let t = D.open_or_create ?persist heap ~slot:0 in
+    D.add t (E.mk 1);
+    let c = Pmalloc.Heap.attach_telemetry heap in
+    let rows () = (Telemetry.report c).Telemetry.rows in
+    D.add_many t [];
+    Alcotest.(check int) "size unchanged" 1 (D.size t);
+    Alcotest.(check int) "no telemetry row" 0 (List.length (rows ()));
+    D.add_many t (List.map E.mk [ 2; 3 ]);
+    List.iter
+      (fun r ->
+        let open Telemetry in
+        if r.r_ops < r.r_spans then
+          Alcotest.failf "%s/%s: r_ops %d < r_spans %d" r.r_structure r.r_op
+            r.r_ops r.r_spans)
+      (rows ())
+
+  (* The panel's cases for this structure, named after it. *)
+  let cases ?persist ?commit_mode () =
+    [
+      Alcotest.test_case D.structure `Quick (run ?persist ?commit_mode);
+      Alcotest.test_case
+        (D.structure ^ " add_many []")
+        `Quick
+        (empty_batch ?persist ?commit_mode);
+    ]
 end
 
 module Conf_map =
@@ -151,47 +188,27 @@ let test_recover_result () =
       Alcotest.failf "recover on a consistent heap: %s"
         (Mod_core.Error.to_string e)
 
+(* One panel: every structure's cases under one policy / commit mode. *)
+let conformance ?persist ?commit_mode () =
+  List.concat_map
+    (fun cases -> cases ?persist ?commit_mode ())
+    [
+      Conf_map.cases;
+      Conf_set.cases;
+      Conf_vec.cases;
+      Conf_stack.cases;
+      Conf_queue.cases;
+      Conf_seq.cases;
+      Conf_pqueue.cases;
+    ]
+
 let () =
   Alcotest.run "intf"
     [
-      ( "durable-conformance",
-        [
-          Alcotest.test_case "dmap" `Quick (Conf_map.run ?persist:None);
-          Alcotest.test_case "dset" `Quick (Conf_set.run ?persist:None);
-          Alcotest.test_case "dvec" `Quick (Conf_vec.run ?persist:None);
-          Alcotest.test_case "dstack" `Quick (Conf_stack.run ?persist:None);
-          Alcotest.test_case "dqueue" `Quick (Conf_queue.run ?persist:None);
-          Alcotest.test_case "dseq" `Quick (Conf_seq.run ?persist:None);
-          Alcotest.test_case "dpqueue" `Quick (Conf_pqueue.run ?persist:None);
-        ] );
+      ("durable-conformance", conformance ());
       ( "durable-conformance-backup",
-        (let backup = Pmalloc.Heap.Backup in
-         [
-           Alcotest.test_case "dmap" `Quick (Conf_map.run ~persist:backup);
-           Alcotest.test_case "dset" `Quick (Conf_set.run ~persist:backup);
-           Alcotest.test_case "dvec" `Quick (Conf_vec.run ~persist:backup);
-           Alcotest.test_case "dstack" `Quick
-             (Conf_stack.run ~persist:backup);
-           Alcotest.test_case "dqueue" `Quick
-             (Conf_queue.run ~persist:backup);
-           Alcotest.test_case "dseq" `Quick (Conf_seq.run ~persist:backup);
-           Alcotest.test_case "dpqueue" `Quick
-             (Conf_pqueue.run ~persist:backup);
-         ]) );
-      ( "durable-conformance-cas",
-        (let cas = Pmalloc.Heap.Cas in
-         [
-           Alcotest.test_case "dmap" `Quick (Conf_map.run ~commit_mode:cas);
-           Alcotest.test_case "dset" `Quick (Conf_set.run ~commit_mode:cas);
-           Alcotest.test_case "dvec" `Quick (Conf_vec.run ~commit_mode:cas);
-           Alcotest.test_case "dstack" `Quick
-             (Conf_stack.run ~commit_mode:cas);
-           Alcotest.test_case "dqueue" `Quick
-             (Conf_queue.run ~commit_mode:cas);
-           Alcotest.test_case "dseq" `Quick (Conf_seq.run ~commit_mode:cas);
-           Alcotest.test_case "dpqueue" `Quick
-             (Conf_pqueue.run ~commit_mode:cas);
-         ]) );
+        conformance ~persist:Pmalloc.Heap.Backup () );
+      ("durable-conformance-cas", conformance ~commit_mode:Pmalloc.Heap.Cas ());
       (* Backup x concurrent commit: skipped by design, with the reason
          encoded as the Invalid_argument the combination raises -- a
          Backup slot's commit order is its op-log append order, which a
