@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 6) on the simulated Optane machine, plus the
-   ablation studies indexed in DESIGN.md and a Bechamel wall-clock section.
+   ablation studies indexed in DESIGN.md.
 
    Usage:
      dune exec bench/main.exe                     -- everything, default scale
@@ -18,7 +18,7 @@ let default_scale = 10_000
 let usage () =
   print_endline
     "sections: fig2 fig4 fig9 fig10 fig11 table3 ctree ablations batch \
-     telemetry faults persist killtest alloc shard bechamel all";
+     telemetry faults persist killtest alloc shard all";
   print_endline
     "options: --scale N | --full | --json FILE | --baseline FILE | --seed N \
      | --shards N";
@@ -370,9 +370,9 @@ let batch_sizes = [ 1; 2; 4; 8; 16; 32 ]
 
 (* One N-op group is one FASE: N staged shadows, one ordering point.
    The sweep shows simulated ns/op strictly decreasing as the fence cost
-   amortizes, and fences/commit -> 1 on MOD; the optional baseline check
-   (--baseline) turns the shape into a regression gate. *)
-let batch_section ~scale ~baseline () =
+   amortizes, and fences/commit -> 1 on MOD; the returned gate rows
+   (checked under --baseline) turn the shape into a regression gate. *)
+let batch_section ~scale () =
   Report.section
     "Group commit: simulated cost vs batch size (micro map workload)";
   Printf.printf
@@ -453,41 +453,6 @@ let batch_section ~scale ~baseline () =
     | _ -> ()
   in
   strictly_decreasing mod_runs;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match Option.bind (member "batch" (of_file path)) (member "mod_map") with
-      | exception Sys_error e ->
-          check false (Printf.sprintf "baseline %s unreadable: %s" path e)
-      | exception Parse_error e ->
-          check false (Printf.sprintf "baseline %s: bad JSON: %s" path e)
-      | None ->
-          check false (Printf.sprintf "baseline %s has no batch.mod_map" path)
-      | Some base ->
-          let bound key =
-            match Option.bind (member key base) to_number_opt with
-            | Some v -> v
-            | None ->
-                check false
-                  (Printf.sprintf "baseline batch.mod_map has no %s" key);
-                nan
-          in
-          let max_f32 = bound "max_fences_per_op_at_32" in
-          let min_speedup = bound "min_speedup_1_to_32" in
-          let f32 = Runner.fences_per_op (List.assoc 32 mod_runs) in
-          let speedup = ns 1 mod_runs /. ns 32 mod_runs in
-          check
-            (Float.is_nan max_f32 || f32 <= max_f32)
-            (Printf.sprintf
-               "fences/op at batch=32 is %.3f, above the baseline bound %.3f"
-               f32 max_f32);
-          check
-            (Float.is_nan min_speedup || speedup >= min_speedup)
-            (Printf.sprintf
-               "batch=1 -> batch=32 speedup is %.2fx, below the baseline \
-                bound %.2fx"
-               speedup min_speedup)));
   (match List.rev !failures with
   | [] -> print_endline "\nbatch regression gate: ok"
   | fs ->
@@ -512,25 +477,34 @@ let batch_section ~scale ~baseline () =
                ])
            runs))
   in
-  Report.Json.(
-    Obj
+  ( Report.Json.(
+      Obj
+        [
+          ( "fase_profile_8_insert_batch",
+            Obj
+              [
+                ("fences", Int profile.Mod_core.Fase.fences);
+                ("flushes", Int profile.Mod_core.Fase.flushes);
+                ("commits", Int profile.Mod_core.Fase.commits);
+              ] );
+          ("mod", runs_json "mod" mod_runs);
+          ("pmdk15", runs_json "pmdk15" pmdk_runs);
+        ]),
+    Gate.
       [
-        ( "fase_profile_8_insert_batch",
-          Obj
-            [
-              ("fences", Int profile.Mod_core.Fase.fences);
-              ("flushes", Int profile.Mod_core.Fase.flushes);
-              ("commits", Int profile.Mod_core.Fase.commits);
-            ] );
-        ("mod", runs_json "mod" mod_runs);
-        ("pmdk15", runs_json "pmdk15" pmdk_runs);
-      ])
+        { key = [ "batch"; "mod_map"; "max_fences_per_op_at_32" ]; dir = Max;
+          measured = Runner.fences_per_op (List.assoc 32 mod_runs);
+          label = "fences/op at batch=32" };
+        { key = [ "batch"; "mod_map"; "min_speedup_1_to_32" ]; dir = Min;
+          measured = ns 1 mod_runs /. ns 32 mod_runs;
+          label = "batch=1 -> batch=32 speedup" };
+      ] )
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: per-op histograms, attribution identity, sink overhead   *)
 (* ------------------------------------------------------------------ *)
 
-let telemetry_section ~scale ~baseline () =
+let telemetry_section ~scale () =
   Report.section
     "Telemetry: per-(structure x op) histograms and fence-stall attribution";
   Printf.printf
@@ -603,34 +577,6 @@ let telemetry_section ~scale ~baseline () =
     "null-sink overhead: off %.1f ms, null %.1f ms -> %.2f%% (min of %d \
      interleaved trials)\n"
     (!best_off *. 1e3) (!best_null *. 1e3) overhead_pct trials;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match member "telemetry" (of_file path) with
-      | exception Sys_error e ->
-          check false (Printf.sprintf "baseline %s unreadable: %s" path e)
-      | exception Parse_error e ->
-          check false (Printf.sprintf "baseline %s: bad JSON: %s" path e)
-      | None ->
-          check false (Printf.sprintf "baseline %s has no telemetry block" path)
-      | Some base ->
-          let bound =
-            match
-              Option.bind (member "max_null_sink_overhead_pct" base)
-                to_number_opt
-            with
-            | Some v -> v
-            | None ->
-                check false
-                  "baseline telemetry block has no max_null_sink_overhead_pct";
-                nan
-          in
-          check
-            (Float.is_nan bound || overhead_pct <= bound)
-            (Printf.sprintf
-               "null-sink overhead %.2f%% exceeds the baseline bound %.2f%%"
-               overhead_pct bound)));
   (match List.rev !failures with
   | [] -> print_endline "\ntelemetry regression gate: ok"
   | fs ->
@@ -650,21 +596,26 @@ let telemetry_section ~scale ~baseline () =
           ("fence_stall_ns", Float row.Telemetry.r_fence_stall_ns);
         ])
   in
-  Report.Json.(
-    Obj
+  ( Report.Json.(
+      Obj
+        [
+          ("workload", String "map");
+          ("backend", String "mod");
+          ("null_sink_overhead_pct", Float overhead_pct);
+          ("attribution_gap_ns", Float attr_gap);
+          ( "total_fence_stall_ns",
+            Float rep.Telemetry.total_fence_stall_ns );
+          ( "attributed_fence_stall_ns",
+            Float rep.Telemetry.attributed_fence_stall_ns );
+          ( "unattributed_fence_stall_ns",
+            Float rep.Telemetry.unattributed_fence_stall_ns );
+          ("rows", List (List.map row_json rep.Telemetry.rows));
+        ]),
+    Gate.
       [
-        ("workload", String "map");
-        ("backend", String "mod");
-        ("null_sink_overhead_pct", Float overhead_pct);
-        ("attribution_gap_ns", Float attr_gap);
-        ( "total_fence_stall_ns",
-          Float rep.Telemetry.total_fence_stall_ns );
-        ( "attributed_fence_stall_ns",
-          Float rep.Telemetry.attributed_fence_stall_ns );
-        ( "unattributed_fence_stall_ns",
-          Float rep.Telemetry.unattributed_fence_stall_ns );
-        ("rows", List (List.map row_json rep.Telemetry.rows));
-      ])
+        { key = [ "telemetry"; "max_null_sink_overhead_pct" ]; dir = Max;
+          measured = overhead_pct; label = "null-sink overhead %" };
+      ] )
 
 (* ------------------------------------------------------------------ *)
 (* Faults: torn-crash + media-fault sweep throughput and detection     *)
@@ -761,9 +712,9 @@ let faults_section () =
    simulated machine: per-op flush and fence counts for the same script
    under both commit policies, plus the Backup recovery cost (log replay
    rebuilding the volatile interior).  Gates: Backup must strictly
-   reduce flushes/op on both map and vec, and the committed baseline
-   bounds the reconstruction latency. *)
-let persist_section ~scale ~baseline () =
+   reduce flushes/op on both map and vec, and the returned gate row bounds
+   the reconstruction latency against the committed baseline. *)
+let persist_section ~scale () =
   Report.section
     "Commit policies: Full vs Backup (\"don't persist all\", Section 2.3)";
   Printf.printf
@@ -859,61 +810,37 @@ let persist_section ~scale ~baseline () =
     exit 1
   end;
   let recovery_ms = Float.max map_rec vec_rec in
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match
-        Option.bind
-          (Option.bind (member "persist" (of_file path))
-             (member "max_recovery_ms"))
-          to_number_opt
-      with
-      | exception Sys_error e ->
-          Printf.eprintf "baseline %s unreadable: %s\n" path e;
-          exit 1
-      | exception Parse_error e ->
-          Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-          exit 1
-      | None ->
-          Printf.eprintf "baseline %s has no persist.max_recovery_ms\n" path;
-          exit 1
-      | Some bound_ms ->
-          Printf.printf "recovery max %.2f ms (baseline bound %.2f ms)\n"
-            recovery_ms bound_ms;
-          if recovery_ms > bound_ms then begin
-            Printf.eprintf
-              "PERSIST REGRESSION: recovery %.2f ms exceeds the committed \
-               bound %.2f ms\n"
-              recovery_ms bound_ms;
-            exit 1
-          end));
   print_endline "persist-policy gate: ok";
-  Report.Json.(
-    Obj
+  ( Report.Json.(
+      Obj
+        [
+          ("ops", Int ops);
+          ("max_recovery_ms", Float recovery_ms);
+          ( "rows",
+            List
+              (List.map
+                 (fun (name, fl, fe, ns, rec_ms) ->
+                   Obj
+                     [
+                       ("name", String name);
+                       ("flushes_per_op", Float fl);
+                       ("fences_per_op", Float fe);
+                       ("sim_ns_per_op", Float ns);
+                       ("recovery_ms", Float rec_ms);
+                     ])
+                 rows) );
+        ]),
+    Gate.
       [
-        ("ops", Int ops);
-        ("max_recovery_ms", Float recovery_ms);
-        ( "rows",
-          List
-            (List.map
-               (fun (name, fl, fe, ns, rec_ms) ->
-                 Obj
-                   [
-                     ("name", String name);
-                     ("flushes_per_op", Float fl);
-                     ("fences_per_op", Float fe);
-                     ("sim_ns_per_op", Float ns);
-                     ("recovery_ms", Float rec_ms);
-                   ])
-               rows) );
-      ])
+        { key = [ "persist"; "max_recovery_ms" ]; dir = Max;
+          measured = recovery_ms; label = "Backup recovery ms" };
+      ] )
 
 (* ------------------------------------------------------------------ *)
 (* Kill9: real fork+SIGKILL durability sweep on the file backend       *)
 (* ------------------------------------------------------------------ *)
 
-let killtest_section ~baseline () =
+let killtest_section () =
   Report.section
     "Kill9: fork + SIGKILL durability on the file-backed heap";
   Printf.printf
@@ -949,59 +876,37 @@ let killtest_section ~baseline () =
       violations escaped;
     exit 1
   end;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match
-        Option.bind
-          (Option.bind (member "kill9" (of_file path)) (member "max_reopen_ms"))
-          to_number_opt
-      with
-      | exception Sys_error e ->
-          Printf.eprintf "baseline %s unreadable: %s\n" path e;
-          exit 1
-      | exception Parse_error e ->
-          Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-          exit 1
-      | None ->
-          Printf.eprintf "baseline %s has no kill9.max_reopen_ms\n" path;
-          exit 1
-      | Some bound_ms ->
-          Printf.printf "reopen max %.2f ms (baseline bound %.2f ms)\n"
-            max_reopen_ms bound_ms;
-          if max_reopen_ms > bound_ms then begin
-            Printf.eprintf
-              "KILL9 REGRESSION: reopen max %.2f ms exceeds the committed \
-               bound %.2f ms\n"
-              max_reopen_ms bound_ms;
-            exit 1
-          end));
   print_endline "kill9 durability gate: ok";
-  Report.Json.(
-    Obj
+  ( Report.Json.(
+      Obj
+        [
+          ("trials", Int (sum (fun r -> r.Crashtest.Kill9.kills)));
+          ("violations", Int violations);
+          ("escaped", Int escaped);
+          ("completed", Int (sum (fun r -> r.Crashtest.Kill9.completed_runs)));
+          ("journal_replayed", Int (sum (fun r -> r.Crashtest.Kill9.replayed)));
+          ( "journal_discarded",
+            Int (sum (fun r -> r.Crashtest.Kill9.discarded)) );
+          ("max_reopen_ms", Float max_reopen_ms);
+          ( "workloads",
+            List
+              (List.map
+                 (fun (r : Crashtest.Kill9.result) ->
+                   Obj
+                     [
+                       ("workload", String r.workload);
+                       ("trials", Int r.kills);
+                       ("violations", Int r.violations);
+                       ("mean_reopen_ms", Float (r.mean_reopen_ns /. 1e6));
+                       ("ok", Bool (Crashtest.Kill9.ok r));
+                     ])
+                 results) );
+        ]),
+    Gate.
       [
-        ("trials", Int (sum (fun r -> r.Crashtest.Kill9.kills)));
-        ("violations", Int violations);
-        ("escaped", Int escaped);
-        ("completed", Int (sum (fun r -> r.Crashtest.Kill9.completed_runs)));
-        ("journal_replayed", Int (sum (fun r -> r.Crashtest.Kill9.replayed)));
-        ("journal_discarded", Int (sum (fun r -> r.Crashtest.Kill9.discarded)));
-        ("max_reopen_ms", Float max_reopen_ms);
-        ( "workloads",
-          List
-            (List.map
-               (fun (r : Crashtest.Kill9.result) ->
-                 Obj
-                   [
-                     ("workload", String r.workload);
-                     ("trials", Int r.kills);
-                     ("violations", Int r.violations);
-                     ("mean_reopen_ms", Float (r.mean_reopen_ns /. 1e6));
-                     ("ok", Bool (Crashtest.Kill9.ok r));
-                   ])
-               results) );
-      ])
+        { key = [ "kill9"; "max_reopen_ms" ]; dir = Max;
+          measured = max_reopen_ms; label = "reopen max ms" };
+      ] )
 
 (* ------------------------------------------------------------------ *)
 (* Allocator: arena hot path, map inserts at scale, recovery per GB    *)
@@ -1016,7 +921,7 @@ let killtest_section ~baseline () =
        to seconds per GB of high-water footprint.
    Simulated numbers and allocs/op are deterministic, so the committed
    baseline gates them; wall-clock is reported for the trajectory. *)
-let alloc_section ~scale ~baseline () =
+let alloc_section ~scale () =
   Report.section
     "Allocator: arena hot path, map inserts at scale, recovery per GB";
   let module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int) in
@@ -1106,60 +1011,40 @@ let alloc_section ~scale ~baseline () =
     (Imap.cardinal m = map_n)
     (Printf.sprintf "recovered map holds %d keys, expected %d"
        (Imap.cardinal m) map_n);
-  (* -- regression gate ---------------------------------------------- *)
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match member "alloc" (of_file path) with
-      | exception Sys_error e ->
-          check false (Printf.sprintf "baseline %s unreadable: %s" path e)
-      | exception Parse_error e ->
-          check false (Printf.sprintf "baseline %s: bad JSON: %s" path e)
-      | None ->
-          check false (Printf.sprintf "baseline %s has no alloc block" path)
-      | Some base ->
-          let bound key =
-            match Option.bind (member key base) to_number_opt with
-            | Some v -> v
-            | None ->
-                check false (Printf.sprintf "baseline alloc has no %s" key);
-                nan
-          in
-          let gate name v bound_v =
-            check
-              (Float.is_nan bound_v || v <= bound_v)
-              (Printf.sprintf "%s is %.3f, above the baseline bound %.3f"
-                 name v bound_v)
-          in
-          gate "churn sim ns/op" churn_sim_ns (bound "max_churn_sim_ns_per_op");
-          gate "map allocs/op" map_allocs_op (bound "max_map_allocs_per_op");
-          gate "map sim ns/op" map_sim_ns (bound "max_map_sim_ns_per_op");
-          gate "recovery sim s/GB" rec_sim_s_gb
-            (bound "max_recovery_sim_s_per_gb")));
   (match List.rev !failures with
   | [] -> print_endline "\nalloc regression gate: ok"
   | fs ->
       List.iter (fun m -> Printf.eprintf "ALLOC REGRESSION: %s\n" m) fs;
       exit 1);
-  Report.Json.(
-    Obj
+  ( Report.Json.(
+      Obj
+        [
+          ("churn_ops", Int churn_ops);
+          ("churn_allocs", Int churn_allocs);
+          ("churn_sim_ns_per_op", Float churn_sim_ns);
+          ("churn_wall_ns_per_op", Float churn_wall_ns);
+          ("churn_high_water_words", Int churn_hw);
+          ("map_inserts", Int map_n);
+          ("map_allocs_per_op", Float map_allocs_op);
+          ("map_sim_ns_per_op", Float map_sim_ns);
+          ("map_wall_ns_per_op", Float map_wall_ns);
+          ("heap_gb", Float gb);
+          ("recovery_sim_s", Float rec_sim_s);
+          ("recovery_sim_s_per_gb", Float rec_sim_s_gb);
+          ("recovery_wall_s", Float rec_wall_s);
+          ("recovery_wall_s_per_gb", Float rec_wall_s_gb);
+        ]),
+    Gate.
       [
-        ("churn_ops", Int churn_ops);
-        ("churn_allocs", Int churn_allocs);
-        ("churn_sim_ns_per_op", Float churn_sim_ns);
-        ("churn_wall_ns_per_op", Float churn_wall_ns);
-        ("churn_high_water_words", Int churn_hw);
-        ("map_inserts", Int map_n);
-        ("map_allocs_per_op", Float map_allocs_op);
-        ("map_sim_ns_per_op", Float map_sim_ns);
-        ("map_wall_ns_per_op", Float map_wall_ns);
-        ("heap_gb", Float gb);
-        ("recovery_sim_s", Float rec_sim_s);
-        ("recovery_sim_s_per_gb", Float rec_sim_s_gb);
-        ("recovery_wall_s", Float rec_wall_s);
-        ("recovery_wall_s_per_gb", Float rec_wall_s_gb);
-      ])
+        { key = [ "alloc"; "max_churn_sim_ns_per_op" ]; dir = Max;
+          measured = churn_sim_ns; label = "churn sim ns/op" };
+        { key = [ "alloc"; "max_map_allocs_per_op" ]; dir = Max;
+          measured = map_allocs_op; label = "map allocs/op" };
+        { key = [ "alloc"; "max_map_sim_ns_per_op" ]; dir = Max;
+          measured = map_sim_ns; label = "map sim ns/op" };
+        { key = [ "alloc"; "max_recovery_sim_s_per_gb" ]; dir = Max;
+          measured = rec_sim_s_gb; label = "recovery sim s/GB" };
+      ] )
 
 (* ------------------------------------------------------------------ *)
 (* Section 6.1 baseline choice: WHISPER hashmap vs ctree on PMDK       *)
@@ -1236,7 +1121,7 @@ headline: hashmap outperforms ctree by %.0f%% -- the paper compares
    the slowest shard's clock -- their ratio is the aggregate throughput
    gain hash partitioning buys under zipfian skew, independent of how
    many host cores the CI runner has. *)
-let shard_section ~seed ~nshards ~baseline () =
+let shard_section ~seed ~nshards () =
   Report.section
     "Serving layer: sharded zipfian loop (sim speedup) + single-shard crashes";
   let requests = 8_000 in
@@ -1288,128 +1173,41 @@ let shard_section ~seed ~nshards ~baseline () =
     Printf.eprintf "SHARD SWEEP: crash independence violated\n";
     exit 1
   end;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match
-        Option.bind
-          (Option.bind (member "shard" (of_file path))
-             (member "min_sim_speedup"))
-          to_number_opt
-      with
-      | exception Sys_error e ->
-          Printf.eprintf "baseline %s unreadable: %s\n" path e;
-          exit 1
-      | exception Parse_error e ->
-          Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-          exit 1
-      | None ->
-          Printf.eprintf "baseline %s has no shard.min_sim_speedup\n" path;
-          exit 1
-      | Some bound ->
-          Printf.printf "sim speedup %.2fx (baseline floor %.2fx)\n" speedup
-            bound;
-          if speedup < bound then begin
-            Printf.eprintf
-              "SHARD REGRESSION: %d-shard sim speedup %.2fx is below the \
-               committed floor %.2fx\n"
-              nshards speedup bound;
-            exit 1
-          end));
   print_endline "shard serving gate: ok";
-  Report.Json.(
-    Obj
+  ( Report.Json.(
+      Obj
+        [
+          ("nshards", Int nshards);
+          ("requests", Int requests);
+          ("theta", Float theta);
+          ("seed", Int seed);
+          ("sim_total_1shard_ns", Float r1.Shard.lr_sim_total_ns);
+          ("sim_makespan_ns", Float rn.Shard.lr_sim_makespan_ns);
+          ("sim_speedup", Float speedup);
+          ("agg_req_per_sim_s", Float rn.Shard.lr_sim_req_s);
+          ("sweep_points", Int sw.Shard.sw_points);
+          ("sweep_violations", Int (List.length sw.Shard.sw_violations));
+          ( "sweep_sibling_mismatches",
+            Int sw.Shard.sw_sibling_mismatches );
+          ( "shards",
+            List
+              (List.map
+                 (fun m ->
+                   Obj
+                     [
+                       ("id", Int m.Shard.m_id);
+                       ("executed", Int m.Shard.m_executed);
+                       ("sim_ns", Float m.Shard.m_sim_ns);
+                       ("p50_ns", Float m.Shard.m_p50_ns);
+                       ("p99_ns", Float m.Shard.m_p99_ns);
+                     ])
+                 rn.Shard.lr_shards) );
+        ]),
+    Gate.
       [
-        ("nshards", Int nshards);
-        ("requests", Int requests);
-        ("theta", Float theta);
-        ("seed", Int seed);
-        ("sim_total_1shard_ns", Float r1.Shard.lr_sim_total_ns);
-        ("sim_makespan_ns", Float rn.Shard.lr_sim_makespan_ns);
-        ("sim_speedup", Float speedup);
-        ("agg_req_per_sim_s", Float rn.Shard.lr_sim_req_s);
-        ("sweep_points", Int sw.Shard.sw_points);
-        ("sweep_violations", Int (List.length sw.Shard.sw_violations));
-        ( "sweep_sibling_mismatches",
-          Int sw.Shard.sw_sibling_mismatches );
-        ( "shards",
-          List
-            (List.map
-               (fun m ->
-                 Obj
-                   [
-                     ("id", Int m.Shard.m_id);
-                     ("executed", Int m.Shard.m_executed);
-                     ("sim_ns", Float m.Shard.m_sim_ns);
-                     ("p50_ns", Float m.Shard.m_p50_ns);
-                     ("p99_ns", Float m.Shard.m_p99_ns);
-                   ])
-               rn.Shard.lr_shards) );
-      ])
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: host wall-clock of the simulator itself                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  Report.section
-    "Bechamel: host wall-clock per operation (simulator overhead included)";
-  let open Bechamel in
-  let open Toolkit in
-  let make_map_test backend =
-    let ctx = Backend.create backend in
-    let inst = Micro.map_setup ctx ~size:10_000 in
-    let rng = Backend.rng ctx in
-    for _ = 1 to 5_000 do
-      Micro.map_insert ctx inst (Random.State.int rng 10_000) 7
-    done;
-    Test.make
-      ~name:(Backend.kind_name backend)
-      (Staged.stage (fun () ->
-           Micro.map_insert ctx inst (Random.State.int rng 10_000) 7))
-  in
-  let make_queue_test backend =
-    let ctx = Backend.create backend in
-    let inst = Micro.queue_setup ctx in
-    for i = 1 to 1_000 do
-      Micro.queue_push ctx inst i
-    done;
-    Test.make
-      ~name:(Backend.kind_name backend)
-      (Staged.stage (fun () ->
-           Micro.queue_push ctx inst 1;
-           Micro.queue_pop ctx inst))
-  in
-  let grouped =
-    Test.make_grouped ~name:"ops"
-      [
-        Test.make_grouped ~name:"map-insert"
-          (List.map make_map_test Backend.all_kinds);
-        Test.make_grouped ~name:"queue-push-pop"
-          (List.map make_queue_test Backend.all_kinds);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2_000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> acc)
-      results []
-  in
-  let rows = List.sort compare rows in
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-40s %12.0f ns/op (host)\n" name est)
-    rows;
-  Report.Json.(
-    Obj (List.map (fun (name, est) -> (name, Float est)) rows))
+        { key = [ "shard"; "min_sim_speedup" ]; dir = Min;
+          measured = speedup; label = "sim speedup over 1 shard" };
+      ] )
 
 (* ------------------------------------------------------------------ *)
 
@@ -1456,8 +1254,15 @@ let () =
   let results = lazy (sweep ~scale) in
   (* Each section renders its terminal figure and hands back a JSON
      payload (Null for the pure views over the shared sweep, whose data
-     lands in the top-level "sweep" array). *)
+     lands in the top-level "sweep" array); gated sections also hand back
+     their baseline rows, checked once after every section has run. *)
   let collected = ref [] in
+  let gate_rows = ref [] in
+  let gated f () =
+    let payload, rows = f () in
+    gate_rows := !gate_rows @ rows;
+    payload
+  in
   let run name enabled f =
     if enabled then begin
       let t0 = Unix.gettimeofday () in
@@ -1474,20 +1279,19 @@ let () =
   run "fig11" (wants "fig11")
     (unit_section (fun () -> fig11 (Lazy.force results)));
   run "table3" (wants "table3") (fun () -> table3 ~scale);
-  run "batch" (wants "batch")
-    (batch_section ~scale:(min scale 20_000) ~baseline:!baseline);
+  run "batch" (wants "batch") (gated (batch_section ~scale:(min scale 20_000)));
   run "telemetry" (wants "telemetry")
-    (telemetry_section ~scale:(min scale 10_000) ~baseline:!baseline);
+    (gated (telemetry_section ~scale:(min scale 10_000)));
   run "faults" (wants "faults") (fun () -> faults_section ());
   run "persist" (wants "persist")
-    (persist_section ~scale:(min scale 10_000) ~baseline:!baseline);
-  run "killtest" (wants "killtest") (killtest_section ~baseline:!baseline);
-  run "alloc" (wants "alloc") (alloc_section ~scale ~baseline:!baseline);
+    (gated (persist_section ~scale:(min scale 10_000)));
+  run "killtest" (wants "killtest") (gated killtest_section);
+  run "alloc" (wants "alloc") (gated (alloc_section ~scale));
   run "shard" (wants "shard")
-    (shard_section ~seed:!seed ~nshards:!shards ~baseline:!baseline);
+    (gated (shard_section ~seed:!seed ~nshards:!shards));
   run "ctree" (wants "ctree") (fun () -> ctree ~scale);
   run "ablations" (wants "ablations") (fun () -> ablations ~scale);
-  run "bechamel" (wants "bechamel") (fun () -> bechamel ());
+  let gate = Gate.check ?baseline:!baseline !gate_rows in
   (match !json_out with
   | None -> ()
   | Some path ->
@@ -1522,8 +1326,10 @@ let () =
             ("wall_seconds", Float (Unix.gettimeofday () -. t_start));
             ("sections", section_json);
             ("sweep", sweep_json);
+            ("gate", Gate.to_json gate);
           ]
       in
       to_file path doc;
       Printf.printf "\nwrote %s\n" path);
+  Gate.exit_if_failed gate;
   Printf.printf "\ndone.\n"

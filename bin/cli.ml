@@ -42,7 +42,9 @@ let json_arg =
 let baseline_arg =
   let doc =
     "Gate the run against a committed baseline JSON (bench/BASELINE.json \
-     shape) and exit non-zero on regression."
+     shape): exit 1 when a bound is violated, 2 when the file is \
+     unreadable, bad JSON or lacks a key.  Rejected (exit 2) where the \
+     selected path runs no gate."
   in
   Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
 

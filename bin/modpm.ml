@@ -183,6 +183,13 @@ let run_cmd =
 
 (* -- crashtest ---------------------------------------------------------- *)
 
+(* Reject a --baseline that the selected path would never check. *)
+let no_gate baseline path =
+  if baseline <> None then begin
+    Printf.eprintf "--baseline: %s runs no baseline gate\n" path;
+    exit 2
+  end
+
 (* The concurrent sweep/replay path of the crashtest command: [writers]
    interleaved writers per workload, every (schedule, crash point) pair
    swept and judged by the concurrent durable-linearizability oracle. *)
@@ -291,6 +298,15 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
         if total_wall <= 0.0 then 0.0
         else float_of_int total_points /. total_wall
       in
+      let gate =
+        Workloads.Gate.(
+          check ?baseline
+            [
+              { key = [ "concurrent"; "max_violations" ]; dir = Max;
+                measured = float_of_int positive_violations;
+                label = "positive-workload violations" };
+            ])
+      in
       (match json_out with
       | None -> ()
       | Some path ->
@@ -334,41 +350,12 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
                              ("ok", Bool (Crashtest.Explorer.cok r));
                            ])
                        results) );
+                ("gate", Workloads.Gate.to_json gate);
               ]
           in
           to_file path doc;
           Printf.printf "wrote %s\n" path);
-      (match baseline with
-      | None -> ()
-      | Some path -> (
-          let open Workloads.Report.Json in
-          match
-            let doc = of_file path in
-            Option.bind (member "concurrent" doc) (member "max_violations")
-            |> Fun.flip Option.bind to_number_opt
-          with
-          | exception Sys_error e ->
-              Printf.eprintf "baseline %s unreadable: %s\n" path e;
-              exit 2
-          | exception Parse_error e ->
-              Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-              exit 2
-          | None ->
-              Printf.eprintf "baseline %s has no concurrent.max_violations\n"
-                path;
-              exit 2
-          | Some max_v ->
-              Printf.printf
-                "concurrent sweep: %d positive-workload violation(s) vs \
-                 baseline bound %.0f\n"
-                positive_violations max_v;
-              if float_of_int positive_violations > max_v then begin
-                Printf.eprintf
-                  "CONCURRENT REGRESSION: %d violation(s) exceed the \
-                   committed bound (%.0f)\n"
-                  positive_violations max_v;
-                bad := true
-              end));
+      Workloads.Gate.exit_if_failed gate;
       if !bad then exit 1
 
 (* --shards N: the single-shard crash sweep of the serving layer.  Kill
@@ -430,6 +417,7 @@ let crashtest_cmd =
       writers schedule shards =
     match shards with
     | Some nshards ->
+        no_gate baseline "crashtest --shards";
         let requests = if quick then min (ops * 4) 64 else ops * 4 in
         shard_sweep ~nshards ~requests ~stride ~max_points ~seed ~file:None
           ~json_out
@@ -439,6 +427,7 @@ let crashtest_cmd =
     | Some other ->
         Printf.eprintf "unknown action %S (only: sweep)\n" other;
         exit 2);
+    if replay <> None then no_gate baseline "crashtest --replay";
     let ops = if quick then min ops 8 else ops in
     let samples = if quick then min samples 2 else samples in
     let snapshot_mode =
@@ -602,6 +591,14 @@ let crashtest_cmd =
              root fallbacks\n"
             total_fault_samples total_fault_recovered total_fault_degraded
             total_fault_fallbacks;
+        let gate =
+          Workloads.Gate.(
+            check ?baseline
+              [
+                { key = [ "crashtest"; "min_points_per_sec" ]; dir = Min;
+                  measured = points_per_sec; label = "crash points/s" };
+              ])
+        in
         (match json_out with
         | None -> ()
         | Some path ->
@@ -671,40 +668,12 @@ let crashtest_cmd =
                                ("ok", Bool (Crashtest.Explorer.ok r));
                              ])
                          results) );
+                  ("gate", Workloads.Gate.to_json gate);
                 ]
             in
             to_file path doc;
             Printf.printf "wrote %s\n" path);
-        (match baseline with
-        | None -> ()
-        | Some path -> (
-            (* fail if throughput regressed to less than half the committed
-               baseline (generous: CI machines vary, 2x does not) *)
-            let open Workloads.Report.Json in
-            match
-              let doc = of_file path in
-              Option.bind (member "points_per_sec" doc) to_number_opt
-            with
-            | exception Sys_error e ->
-                Printf.eprintf "baseline %s unreadable: %s\n" path e;
-                exit 2
-            | exception Parse_error e ->
-                Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-                exit 2
-            | None ->
-                Printf.eprintf "baseline %s has no points_per_sec\n" path;
-                exit 2
-            | Some base ->
-                Printf.printf
-                  "throughput %.0f points/s vs baseline %.0f points/s\n"
-                  points_per_sec base;
-                if points_per_sec < base /. 2.0 then begin
-                  Printf.eprintf
-                    "PERF REGRESSION: %.0f points/s is more than 2x below \
-                     the committed baseline (%.0f points/s)\n"
-                    points_per_sec base;
-                  bad := true
-                end));
+        Workloads.Gate.exit_if_failed gate;
         if !bad then exit 1
   in
   let workload =
@@ -1239,6 +1208,7 @@ let killtest_cmd =
         (* sharded kill test: file-backed single-shard crash sweep -- the
            crashed shard's image is abandoned mid-writeback and reopened
            through Recovery.open_file while its siblings keep serving *)
+        no_gate baseline "killtest --shards";
         let dir =
           match dir with Some d -> d | None -> Filename.get_temp_dir_name ()
         in
@@ -1307,7 +1277,14 @@ let killtest_cmd =
        escaped; reopen mean %.2fms max %.2fms\n"
       trials (List.length names) violations escaped (mean_reopen_ns /. 1e6)
       (max_reopen_ns /. 1e6);
-    let bad = ref (violations > 0 || escaped > 0) in
+    let gate =
+      Workloads.Gate.(
+        check ?baseline
+          [
+            { key = [ "killtest"; "max_reopen_ms" ]; dir = Max;
+              measured = max_reopen_ns /. 1e6; label = "reopen max ms" };
+          ])
+    in
     (match json_out with
     | None -> ()
     | Some path ->
@@ -1352,49 +1329,13 @@ let killtest_cmd =
                            ("ok", Bool (Crashtest.Kill9.ok r));
                          ])
                      results) );
+              ("gate", Workloads.Gate.to_json gate);
             ]
         in
         to_file path doc;
         Printf.printf "wrote %s\n" path);
-    (match baseline with
-    | None -> ()
-    | Some path -> (
-        (* the hard gate is zero violations (checked above); the baseline
-           additionally bounds reopen latency -- generous 10x headroom, CI
-           machines vary *)
-        let open Workloads.Report.Json in
-        match
-          let doc = of_file path in
-          (* accept both bench/BASELINE.json (nested under "kill9") and a
-             previous BENCH_kill9.json (top-level) *)
-          let nested =
-            Option.bind (member "kill9" doc) (member "max_reopen_ms")
-          in
-          let field =
-            match nested with Some v -> Some v | None -> member "max_reopen_ms" doc
-          in
-          Option.bind field to_number_opt
-        with
-        | exception Sys_error e ->
-            Printf.eprintf "baseline %s unreadable: %s\n" path e;
-            exit 2
-        | exception Parse_error e ->
-            Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-            exit 2
-        | None ->
-            Printf.eprintf "baseline %s has no max_reopen_ms\n" path;
-            exit 2
-        | Some base_ms ->
-            let ms = max_reopen_ns /. 1e6 in
-            Printf.printf "reopen max %.2fms vs baseline %.2fms\n" ms base_ms;
-            if base_ms > 0.0 && ms > base_ms *. 10.0 then begin
-              Printf.eprintf
-                "REOPEN REGRESSION: %.2fms is more than 10x the committed \
-                 baseline (%.2fms)\n"
-                ms base_ms;
-              bad := true
-            end));
-    if !bad then exit 1
+    Workloads.Gate.exit_if_failed gate;
+    if violations > 0 || escaped > 0 then exit 1
   in
   let workload =
     Arg.(

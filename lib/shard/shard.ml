@@ -407,7 +407,11 @@ let sweep_iteration t ~script ~target ~budget ~recover_target =
             crashed := Some (dump_model next);
             raise Exit);
          models.(sh.id) <- next;
-         if sh.id = target then history := dump_model next :: !history)
+         (* only a Set commits: a Get's unchanged state pushed here would
+            evict the real previous state from the oracle's window *)
+         match req with
+         | Set _ when sh.id = target -> history := dump_model next :: !history
+         | _ -> ())
        script
    with Exit -> ());
   Pmem.Region.clear_crash_point (Pmalloc.Heap.region tgt.heap);

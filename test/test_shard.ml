@@ -108,16 +108,22 @@ let prop_sharded_equals_single =
 (* -- crash independence ----------------------------------------------------- *)
 
 let test_crash_sweep () =
-  let r =
-    Shard.crash_sweep ~nshards:3 ~requests:96 ~keyspace:64 ~stride:53
-      ~max_points:20 ~seed:11 ~capacity_words:(1 lsl 17) ()
-  in
-  Alcotest.(check bool) "examined points" true (r.Shard.sw_points > 0);
-  Alcotest.(check (list string)) "no oracle violations" [] r.Shard.sw_violations;
-  Alcotest.(check int) "no sibling perturbation" 0 r.Shard.sw_sibling_mismatches;
-  Alcotest.(check int)
-    "every point consistent" r.Shard.sw_points r.Shard.sw_consistent;
-  Alcotest.(check bool) "sweep_ok" true (Shard.sweep_ok r)
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "examined points" true (r.Shard.sw_points > 0);
+      Alcotest.(check (list string))
+        "no oracle violations" [] r.Shard.sw_violations;
+      Alcotest.(check int)
+        "no sibling perturbation" 0 r.Shard.sw_sibling_mismatches;
+      Alcotest.(check int)
+        "every point consistent" r.Shard.sw_points r.Shard.sw_consistent;
+      Alcotest.(check bool) "sweep_ok" true (Shard.sweep_ok r))
+    [
+      Shard.crash_sweep ~nshards:3 ~requests:96 ~keyspace:64 ~stride:53
+        ~max_points:20 ~seed:11 ~capacity_words:(1 lsl 17) ();
+      (* default sizes: Gets on the target shard interleave with its Sets *)
+      Shard.crash_sweep ~nshards:2 ~seed:1 ();
+    ]
 
 (* -- Domains mode ----------------------------------------------------------- *)
 

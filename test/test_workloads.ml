@@ -181,6 +181,83 @@ let ablation_tests =
         | _ -> Alcotest.fail "expected two results");
   ]
 
+(* -- Gate: baseline rows against a committed JSON ---------------------- *)
+
+let gate_doc =
+  {|{ "g": { "hi": 2.0, "lo": 1.5, "deep": { "n": 3 }, "s": "x" } }|}
+
+(* [check] on [rows] against a baseline file holding [text]; [None] names
+   a path that does not exist. *)
+let gate_verdict text rows =
+  match text with
+  | None ->
+      Option.get
+        (Workloads.Gate.check rows
+           ~baseline:
+             (Filename.concat
+                (Filename.get_temp_dir_name ())
+                "mod_test_gate_absent/baseline.json"))
+  | Some text ->
+      let path = Filename.temp_file "mod_test_gate" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_text path (fun oc -> output_string oc text);
+          Option.get (Workloads.Gate.check ~baseline:path rows))
+
+let gate_row key dir measured =
+  Workloads.Gate.{ key; dir; measured; label = "m" }
+
+let gate_tests =
+  let open Workloads.Gate in
+  let judged =
+    [
+      ("Max passes at equality", gate_row [ "g"; "hi" ] Max 2.0, true);
+      ("Max fails just above", gate_row [ "g"; "hi" ] Max (Float.succ 2.0),
+        false);
+      ("Min passes at equality", gate_row [ "g"; "lo" ] Min 1.5, true);
+      ("Min fails just below", gate_row [ "g"; "lo" ] Min (Float.pred 1.5),
+        false);
+      ("NaN fails Max", gate_row [ "g"; "hi" ] Max Float.nan, false);
+      ("NaN fails Min", gate_row [ "g"; "lo" ] Min Float.nan, false);
+      ("nested key", gate_row [ "g"; "deep"; "n" ] Max 3.0, true);
+    ]
+  in
+  let ok_row = gate_row [ "g"; "hi" ] Max 0.0 in
+  let absent = gate_row [ "g"; "no" ] Max 0.0 in
+  let bad =
+    [
+      ("missing key", Some gate_doc, [ ok_row; absent ]);
+      ("non-numeric bound", Some gate_doc, [ gate_row [ "g"; "s" ] Max 0.0 ]);
+      ("unreadable path", None, [ ok_row ]);
+      ("bad JSON", Some {|{ "g": |}, [ ok_row ]);
+    ]
+  in
+  List.map
+    (fun (name, row, expect) ->
+      Alcotest.test_case name `Quick (fun () ->
+          match gate_verdict (Some gate_doc) [ row ] with
+          | Checked [ c ] as v ->
+              Alcotest.(check bool) "row verdict" expect c.pass;
+              Alcotest.(check bool) "gate verdict" expect (ok v)
+          | _ -> Alcotest.fail "expected one checked row"))
+    judged
+  @ List.map
+      (fun (name, text, rows) ->
+        Alcotest.test_case (name ^ " is a baseline error") `Quick (fun () ->
+            match gate_verdict text rows with
+            | Bad_baseline _ as v ->
+                Alcotest.(check bool) "json ok=false" true
+                  (Workloads.Report.Json.member "ok" (to_json (Some v))
+                  = Some (Workloads.Report.Json.Bool false))
+            | Checked _ -> Alcotest.fail "a bad baseline passed"))
+      bad
+  @ [
+      Alcotest.test_case "no baseline checks nothing" `Quick (fun () ->
+          Alcotest.(check bool) "None" true
+            (check [ gate_row [ "g"; "hi" ] Max Float.nan ] = None));
+    ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -191,4 +268,5 @@ let () =
       ("space", space_tests);
       ("graph", graph_tests);
       ("ablations", ablation_tests);
+      ("gate", gate_tests);
     ]
