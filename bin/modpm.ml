@@ -457,6 +457,16 @@ let crashtest_cmd =
         prerr_endline "--faults is not supported with --writers yet";
         exit 2
       end;
+      (* the concurrent sweep is sequential and has no shrinker *)
+      if jobs <> 1 then begin
+        prerr_endline "--jobs is not supported with --writers (the concurrent \
+                       sweep runs sequentially)";
+        exit 2
+      end;
+      if shrink then begin
+        prerr_endline "--shrink is not supported with --writers";
+        exit 2
+      end;
       let workload = if workload = "mod" then "all" else workload in
       crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
         ~schedule ~json_out ~baseline
@@ -469,6 +479,30 @@ let crashtest_cmd =
         exit 2
     in
     match replay with
+    | Some crash_index when faults -> (
+        (* the point's fault schedule, seeded by --seed as in the sweep *)
+        let w = build workload in
+        match Crashtest.Replay.replay_faults ~cfg w ~crash_index with
+        | None ->
+            Printf.printf
+              "crash index %d is beyond the workload's last PM event\n"
+              crash_index
+        | Some [] ->
+            Printf.printf
+              "replay %s @ event %d (faults, seed %d): every fault sample \
+               recovered or degraded typedly\n"
+              workload crash_index seed
+        | Some (f :: _ as fs) ->
+            List.iter
+              (fun (f : Crashtest.Explorer.failure) ->
+                Printf.printf
+                  "replay %s @ event %d (faults, seed %d): VIOLATION\n  %s\n"
+                  workload crash_index seed f.detail)
+              fs;
+            if shrink then
+              Printf.printf "  minimal repro: %s\n"
+                (Crashtest.Replay.command (Crashtest.Replay.minimize ~cfg f));
+            exit 1)
     | Some crash_index -> (
         (* deterministic single-point replay of a reported failure *)
         let m =
@@ -499,9 +533,11 @@ let crashtest_cmd =
                 {
                   Crashtest.Explorer.workload;
                   ops;
+                  persist = w.persist;
                   crash_index;
                   mode = m;
                   survival_seed = sseed;
+                  faults = None;
                   detail = d;
                 }
               in
@@ -767,7 +803,8 @@ let crashtest_cmd =
              crashes and armed media faults, and assert recovery either \
              succeeds or fails with a typed error (never silent \
              corruption).  With workload all/mod, restricts the sweep to \
-             the seven basic structures.")
+             the seven basic structures.  With --replay, re-runs that \
+             point's fault schedule under --seed.")
   in
   let schedule =
     Arg.(

@@ -73,9 +73,13 @@ let default =
 type failure = {
   workload : string;
   ops : int;
+  persist : Pmalloc.Heap.policy;  (** the policy the workload was built under *)
   crash_index : int;  (** PM event the power failed after *)
   mode : Pmem.Region.crash_mode;
   survival_seed : int option;  (** Randomize line-survival seed *)
+  faults : int option;
+      (** [Some seed]: a fault-schedule sample of a sweep whose master
+          seed was [seed] ([survival_seed] is its torn crash's seed) *)
   detail : string;
 }
 
@@ -153,10 +157,18 @@ let make_scratch cfg =
   Pmem.Region.set_snapshot_mode (Pmalloc.Heap.region heap) Pmem.Region.Journal;
   { s_heap = heap; s_pristine = Pmalloc.Heap.pristine_snapshot heap }
 
-(* Run [w] on a fresh deterministic heap (or a rewound scratch heap); if
-   [budget] is given, power fails after that many PM events (counted from
-   just after heap creation) and the interrupted execution is returned. *)
-let run_until ?scratch cfg (w : Workload.t) ~budget =
+(* The scratch a sweep reuses: the journaled path rewinds one heap, the
+   full-copy reference builds a fresh heap per point. *)
+let scratch_for cfg =
+  match cfg.snapshot_mode with
+  | Pmem.Region.Journal -> Some (make_scratch cfg)
+  | Pmem.Region.Full_copy -> None
+
+(* Build an instance with [make] on a fresh deterministic heap (or the
+   rewound scratch heap) and [run] it; if [budget] is given, power fails
+   after that many PM events (counted from just after heap creation) and
+   the interrupted execution is returned. *)
+let execute ?scratch cfg ~budget make run =
   let heap =
     match scratch with
     | Some s ->
@@ -168,67 +180,116 @@ let run_until ?scratch cfg (w : Workload.t) ~budget =
   in
   let region = Pmalloc.Heap.region heap in
   let base_events = Pmem.Region.pm_events region in
-  (match budget with
-  | Some n -> Pmem.Region.set_crash_after region n
-  | None -> ());
-  let history = ref [ w.model.(0) ] in
-  let pending = ref None in
-  let inst = w.make heap in
-  match
-    inst.Workload.init ();
-    for i = 0 to w.ops - 1 do
-      pending := Some w.model.(i + 1);
-      inst.Workload.run_op i;
-      pending := None;
-      if w.model.(i + 1) <> List.hd !history then
-        history := w.model.(i + 1) :: !history
-    done
-  with
+  Option.iter (Pmem.Region.set_crash_after region) budget;
+  let inst = make heap in
+  match run region inst with
   | () ->
       Pmem.Region.clear_crash_point region;
-      `Completed (Pmem.Region.pm_events region - base_events, heap)
-  | exception Pmem.Region.Crash_point ->
+      `Completed (Pmem.Region.pm_events region - base_events, heap, inst)
+  | exception Pmem.Region.Crash_point -> `Crashed (heap, inst)
+
+let run_until ?scratch cfg (w : Workload.t) ~budget =
+  let history = ref [ w.model.(0) ] in
+  let pending = ref None in
+  match
+    execute ?scratch cfg ~budget w.make (fun _ inst ->
+        inst.Workload.init ();
+        for i = 0 to w.ops - 1 do
+          pending := Some w.model.(i + 1);
+          inst.Workload.run_op i;
+          pending := None;
+          if w.model.(i + 1) <> List.hd !history then
+            history := w.model.(i + 1) :: !history
+        done)
+  with
+  | `Completed (events, heap, _) -> `Completed (events, heap)
+  | `Crashed (heap, inst) ->
       `Crashed
         { c_heap = heap; c_inst = inst; c_history = !history;
           c_pending = !pending }
 
-let recover_and_check (c : crashed) =
-  let recovered =
-    match
-      c.c_inst.Workload.recover ();
-      c.c_inst.Workload.dump ()
-    with
+(* The concurrent workload under [schedule]; a crash point is the pair
+   (schedule, budget). *)
+let crun_until ?scratch cfg (cw : Workload.ct) ~schedule ~budget =
+  execute ?scratch cfg ~budget cw.cmake (fun region inst ->
+      inst.Workload.c_init ();
+      Interleave.run region ~schedule inst.Workload.c_writers)
+
+(* An interrupted execution as the sampler sees it: the workload's
+   recovery and dump, and the oracle judging the recovered state (the
+   sequential window, or the concurrent cut). *)
+type point = {
+  p_recover : unit -> unit;
+  p_dump : unit -> Workload.state;
+  p_judge : (Workload.state, exn) Stdlib.result -> Oracle.verdict;
+}
+
+let point (c : crashed) =
+  {
+    p_recover = c.c_inst.recover;
+    p_dump = c.c_inst.dump;
+    p_judge =
+      (fun recovered ->
+        Oracle.check ~history:c.c_history ~pending:c.c_pending ~recovered);
+  }
+
+let cpoint (inst : Workload.cinstance) =
+  {
+    p_recover = inst.c_recover;
+    p_dump = inst.c_dump;
+    p_judge =
+      (fun recovered -> Oracle.check_concurrent inst.c_tracker ~recovered);
+  }
+
+let check p =
+  p.p_judge
+    (match
+       p.p_recover ();
+       p.p_dump ()
+     with
     | s -> Ok s
-    | exception e -> Error e
-  in
-  Oracle.check ~history:c.c_history ~pending:c.c_pending ~recovered
+    | exception e -> Error e)
+
+let recover_and_check c = check (point c)
+let crecover_and_check inst = check (cpoint inst)
+
+(* The uncrashed concurrent run's serializability check: its final
+   durable state must equal the newest tracked model state. *)
+let serialized (inst : Workload.cinstance) =
+  match inst.c_dump () with
+  | final ->
+      let expect = Oracle.latest inst.c_tracker in
+      if final = expect then Oracle.Consistent
+      else
+        Oracle.Violation
+          (Printf.sprintf
+             "final state %s does not match the serialized model %s" final
+             expect)
+  | exception e ->
+      Oracle.Violation
+        (Printf.sprintf "reading the final state raised %s"
+           (Printexc.to_string e))
 
 (* Classify one fault sample against the degradation contract.  Unlike
    the fault-free oracle, a typed error is an acceptable outcome here:
    the injected fault was detected and surfaced.  What must never happen
    is an untyped exception escaping recovery, or a successfully
    "recovered" state the oracle rejects (silent corruption). *)
-let recover_and_classify_faulted (c : crashed) =
+let recover_and_classify_faulted p =
   let typed = function
-    | Mod_core.Error.Error te -> Some te
-    | e -> Mod_core.Recovery.typed_of_exn e
+    | Mod_core.Error.Error te -> `Degraded te
+    | e -> (
+        match Mod_core.Recovery.typed_of_exn e with
+        | Some te -> `Degraded te
+        | None -> `Escaped e)
   in
-  match c.c_inst.Workload.recover () with
-  | exception e -> (
-      match typed e with
-      | Some te -> `Degraded te
-      | None -> `Escaped e)
+  match p.p_recover () with
+  | exception e -> typed e
   | () -> (
-      match c.c_inst.Workload.dump () with
-      | exception e -> (
-          match typed e with
-          | Some te -> `Degraded te
-          | None -> `Escaped e)
+      match p.p_dump () with
+      | exception e -> typed e
       | s -> (
-          match
-            Oracle.check ~history:c.c_history ~pending:c.c_pending
-              ~recovered:(Ok s)
-          with
+          match p.p_judge (Ok s) with
           | Oracle.Consistent -> `Recovered
           | Oracle.Violation d -> `Violation d))
 
@@ -264,25 +325,52 @@ let arm_fault_kind region ~k ~seed =
       let line = first_heap_line + (abs (seed * 2_654_435_761) mod span) in
       Pmem.Region.arm_media_fault region ~line
 
-type point_stats = {
-  p_sampled : int;
-  p_fsampled : int;
-  p_frecovered : int;
-  p_fdegraded : int;
-  p_ffallbacks : int;
-  p_failures : failure list;
+(* One sample of a crash point: the mode and survival seed the power
+   failed under, and whether it was a fault-schedule (torn) sample. *)
+type sample = {
+  s_index : int;
+  s_mode : Pmem.Region.crash_mode;
+  s_seed : int option;
+  s_fault : bool;
 }
 
-(* Sample one crash point: snapshot the interrupted image, then for each
-   mode (and each survival seed, under Randomize) restore, crash,
-   recover and consult the oracle.  With [cfg.faults] the same point is
-   additionally sampled under the fault schedule (torn crashes and armed
-   media faults) against the weaker degradation contract. *)
-let sample_point cfg (w : Workload.t) ~crash_index (c : crashed) =
-  let region = Pmalloc.Heap.region c.c_heap in
+(* What a sweep accumulates.  Chunks of it cross the parallel sweep's
+   pipes. *)
+type 'f tally = {
+  mutable t_tested : int;
+  mutable t_sampled : int;
+  mutable t_fsampled : int;
+  mutable t_frecovered : int;
+  mutable t_fdegraded : int;
+  mutable t_ffallbacks : int;
+  mutable t_resweeps : int;  (** shards re-swept after worker death *)
+  mutable t_failures : 'f list;  (** newest first *)
+}
+
+let tally () =
+  {
+    t_tested = 0;
+    t_sampled = 0;
+    t_fsampled = 0;
+    t_frecovered = 0;
+    t_fdegraded = 0;
+    t_ffallbacks = 0;
+    t_resweeps = 0;
+    t_failures = [];
+  }
+
+(* Sample one crash point of [heap]: snapshot the interrupted image, then
+   for each mode (and each survival seed, under Randomize) restore,
+   crash, recover and consult the oracle.  With [cfg.faults] the same
+   point is additionally sampled under the fault schedule (torn crashes
+   and armed media faults) against the weaker degradation contract.
+   [fail sample detail] is the failure record a violation adds. *)
+let sample_point cfg t ~crash_index heap p ~fail =
+  let region = Pmalloc.Heap.region heap in
   let snap = Pmem.Region.snapshot region in
-  let sampled = ref 0 in
-  let failures = ref [] in
+  let failed sample detail =
+    t.t_failures <- fail sample detail :: t.t_failures
+  in
   List.iter
     (fun mode ->
       let samples =
@@ -294,71 +382,44 @@ let sample_point cfg (w : Workload.t) ~crash_index (c : crashed) =
         Pmem.Region.restore region snap;
         let seed =
           match mode with
-          | Pmem.Region.Randomize ->
-              Some (survival_seed cfg ~crash_index ~k)
+          | Pmem.Region.Randomize -> Some (survival_seed cfg ~crash_index ~k)
           | _ -> None
         in
-        Pmalloc.Heap.crash ~mode ?seed c.c_heap;
-        incr sampled;
-        match recover_and_check c with
+        Pmalloc.Heap.crash ~mode ?seed heap;
+        t.t_sampled <- t.t_sampled + 1;
+        match check p with
         | Oracle.Consistent -> ()
         | Oracle.Violation detail ->
-            failures :=
-              {
-                workload = w.Workload.name;
-                ops = w.Workload.ops;
-                crash_index;
-                mode;
-                survival_seed = seed;
-                detail;
-              }
-              :: !failures
+            failed
+              { s_index = crash_index; s_mode = mode; s_seed = seed;
+                s_fault = false }
+              detail
       done)
     cfg.modes;
-  let fsampled = ref 0 in
-  let frecovered = ref 0 in
-  let fdegraded = ref 0 in
-  let ffallbacks = ref 0 in
   if cfg.faults then
     for k = 0 to fault_kinds - 1 do
       Pmem.Region.restore region snap;
       let seed = fault_seed cfg ~crash_index ~k in
-      Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed ~torn:true c.c_heap;
+      Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed ~torn:true heap;
       arm_fault_kind region ~k ~seed;
-      incr fsampled;
-      let fb0 = Pmalloc.Heap.root_fallbacks c.c_heap in
-      let fail detail =
-        failures :=
-          {
-            workload = w.Workload.name;
-            ops = w.Workload.ops;
-            crash_index;
-            mode = Pmem.Region.Randomize;
-            survival_seed = Some seed;
-            detail;
-          }
-          :: !failures
+      t.t_fsampled <- t.t_fsampled + 1;
+      let fb0 = Pmalloc.Heap.root_fallbacks heap in
+      let fail fmt =
+        Printf.ksprintf
+          (failed
+             { s_index = crash_index; s_mode = Pmem.Region.Randomize;
+               s_seed = Some seed; s_fault = true })
+          ("faults(kind %d): " ^^ fmt) k
       in
-      (match recover_and_classify_faulted c with
-      | `Recovered -> incr frecovered
-      | `Degraded _ -> incr fdegraded
-      | `Violation d ->
-          fail (Printf.sprintf "faults(kind %d): silent corruption: %s" k d)
+      (match recover_and_classify_faulted p with
+      | `Recovered -> t.t_frecovered <- t.t_frecovered + 1
+      | `Degraded _ -> t.t_fdegraded <- t.t_fdegraded + 1
+      | `Violation d -> fail "silent corruption: %s" d
       | `Escaped e ->
-          fail
-            (Printf.sprintf "faults(kind %d): untyped exception escaped: %s" k
-               (Printexc.to_string e)));
-      ffallbacks := !ffallbacks + Pmalloc.Heap.root_fallbacks c.c_heap - fb0;
+          fail "untyped exception escaped: %s" (Printexc.to_string e));
+      t.t_ffallbacks <- t.t_ffallbacks + Pmalloc.Heap.root_fallbacks heap - fb0;
       Pmem.Region.clear_media_faults region
-    done;
-  {
-    p_sampled = !sampled;
-    p_fsampled = !fsampled;
-    p_frecovered = !frecovered;
-    p_fdegraded = !fdegraded;
-    p_ffallbacks = !ffallbacks;
-    p_failures = List.rev !failures;
-  }
+    done
 
 (* -- sweep driver -------------------------------------------------------- *)
 
@@ -375,56 +436,43 @@ let sweep_budgets cfg ~total_events =
   in
   go 1 0 []
 
-type chunk = {
-  ch_tested : int;
-  ch_sampled : int;
-  ch_fsampled : int;
-  ch_frecovered : int;
-  ch_fdegraded : int;
-  ch_ffallbacks : int;
-  ch_resweeps : int;  (** shards re-run sequentially after worker death *)
-  ch_failures : failure list;  (** in ascending crash-point order *)
-}
-
 (* Test every budget in [bs] (ascending), reusing one scratch heap on
    the journaled path. *)
 let sweep_chunk cfg (w : Workload.t) bs =
-  let scratch =
-    match cfg.snapshot_mode with
-    | Pmem.Region.Journal -> Some (make_scratch cfg)
-    | Pmem.Region.Full_copy -> None
+  let scratch = scratch_for cfg in
+  let t = tally () in
+  let fail (s : sample) detail =
+    {
+      workload = w.name;
+      ops = w.ops;
+      persist = w.persist;
+      crash_index = s.s_index;
+      mode = s.s_mode;
+      survival_seed = s.s_seed;
+      faults = (if s.s_fault then Some cfg.seed else None);
+      detail;
+    }
   in
-  let tested = ref 0 in
-  let sampled = ref 0 in
-  let fsampled = ref 0 in
-  let frecovered = ref 0 in
-  let fdegraded = ref 0 in
-  let ffallbacks = ref 0 in
-  let failures = ref [] in
   List.iter
     (fun budget ->
       match run_until ?scratch cfg w ~budget:(Some budget) with
       | `Completed _ -> ()
       | `Crashed c ->
-          incr tested;
-          let p = sample_point cfg w ~crash_index:budget c in
-          sampled := !sampled + p.p_sampled;
-          fsampled := !fsampled + p.p_fsampled;
-          frecovered := !frecovered + p.p_frecovered;
-          fdegraded := !fdegraded + p.p_fdegraded;
-          ffallbacks := !ffallbacks + p.p_ffallbacks;
-          failures := List.rev_append p.p_failures !failures)
+          t.t_tested <- t.t_tested + 1;
+          sample_point cfg t ~crash_index:budget c.c_heap (point c) ~fail)
     bs;
-  {
-    ch_tested = !tested;
-    ch_sampled = !sampled;
-    ch_fsampled = !fsampled;
-    ch_frecovered = !frecovered;
-    ch_fdegraded = !fdegraded;
-    ch_ffallbacks = !ffallbacks;
-    ch_resweeps = 0;
-    ch_failures = List.rev !failures;
-  }
+  t
+
+(* Re-run [w] on a fresh heap to one crash point and sample it exactly as
+   a sweep does; its failures in sweep order, [None] past the last PM
+   event. *)
+let sample_at cfg w ~crash_index =
+  let t =
+    sweep_chunk
+      { cfg with snapshot_mode = Pmem.Region.Full_copy }
+      w [ crash_index ]
+  in
+  if t.t_tested = 0 then None else Some (List.rev t.t_failures)
 
 (* Fork one worker per budget partition; each marshals its chunk back
    over a pipe.  Round-robin partitioning plus a stable merge keyed on
@@ -478,7 +526,7 @@ let sweep_parallel cfg w bs ~jobs =
       (fun (chunks, resweeps) (pid, rd, part) ->
         let ic = Unix.in_channel_of_descr rd in
         let chunk =
-          match (Marshal.from_channel ic : chunk) with
+          match (Marshal.from_channel ic : failure tally) with
           | c -> Some c
           | exception (End_of_file | Failure _) -> None
         in
@@ -503,16 +551,18 @@ let sweep_parallel cfg w bs ~jobs =
   let chunks = List.rev chunks in
   let sum f = List.fold_left (fun a c -> a + f c) 0 chunks in
   {
-    ch_tested = sum (fun c -> c.ch_tested);
-    ch_sampled = sum (fun c -> c.ch_sampled);
-    ch_fsampled = sum (fun c -> c.ch_fsampled);
-    ch_frecovered = sum (fun c -> c.ch_frecovered);
-    ch_fdegraded = sum (fun c -> c.ch_fdegraded);
-    ch_ffallbacks = sum (fun c -> c.ch_ffallbacks);
-    ch_resweeps = resweeps;
-    ch_failures =
-      List.concat_map (fun c -> c.ch_failures) chunks
-      |> List.stable_sort (fun a b -> compare a.crash_index b.crash_index);
+    t_tested = sum (fun c -> c.t_tested);
+    t_sampled = sum (fun c -> c.t_sampled);
+    t_fsampled = sum (fun c -> c.t_fsampled);
+    t_frecovered = sum (fun c -> c.t_frecovered);
+    t_fdegraded = sum (fun c -> c.t_fdegraded);
+    t_ffallbacks = sum (fun c -> c.t_ffallbacks);
+    t_resweeps = resweeps;
+    t_failures =
+      List.concat_map (fun c -> List.rev c.t_failures) chunks
+      |> List.stable_sort (fun (a : failure) b ->
+             compare a.crash_index b.crash_index)
+      |> List.rev;
   }
 
 let resolve_jobs cfg =
@@ -532,7 +582,7 @@ let explore ?(cfg = default) (w : Workload.t) =
     match run_until cfg w ~budget:None with
     | `Completed (events, heap) ->
         let report =
-          if w.Workload.check_trace then
+          if w.check_trace then
             Some (Mod_core.Consistency.check (Pmalloc.Heap.trace heap))
           else None
         in
@@ -541,34 +591,34 @@ let explore ?(cfg = default) (w : Workload.t) =
   in
   let bs = sweep_budgets cfg ~total_events in
   let jobs = min (resolve_jobs cfg) (max 1 (List.length bs)) in
-  let chunk =
+  let t =
     if jobs > 1 then sweep_parallel cfg w bs ~jobs else sweep_chunk cfg w bs
   in
-  let skipped = max 0 (total_events - chunk.ch_tested) in
+  let skipped = max 0 (total_events - t.t_tested) in
   if skipped > 0 then
     cfg.log
       (Printf.sprintf
          "%s: tested %d of %d crash points (stride %d%s), %d skipped"
-         w.Workload.name chunk.ch_tested total_events cfg.stride
+         w.name t.t_tested total_events cfg.stride
          (match cfg.max_points with
          | Some m -> Printf.sprintf ", cap %d" m
          | None -> "")
          skipped);
   {
-    workload = w.Workload.name;
-    ops = w.Workload.ops;
+    workload = w.name;
+    ops = w.ops;
     total_events;
-    points_tested = chunk.ch_tested;
+    points_tested = t.t_tested;
     points_skipped = skipped;
-    crashes_sampled = chunk.ch_sampled;
-    fault_samples = chunk.ch_fsampled;
-    fault_recovered = chunk.ch_frecovered;
-    fault_degraded = chunk.ch_fdegraded;
-    fault_fallbacks = chunk.ch_ffallbacks;
-    shards_resequenced = chunk.ch_resweeps;
+    crashes_sampled = t.t_sampled;
+    fault_samples = t.t_fsampled;
+    fault_recovered = t.t_frecovered;
+    fault_degraded = t.t_fdegraded;
+    fault_fallbacks = t.t_ffallbacks;
+    shards_resequenced = t.t_resweeps;
     wall_seconds = Unix.gettimeofday () -. t0;
     trace_report;
-    failures = chunk.ch_failures;
+    failures = List.rev t.t_failures;
   }
 
 (* -- concurrent sweeps --------------------------------------------------- *)
@@ -621,145 +671,48 @@ let default_schedules =
     Interleave.Seeded 2;
   ]
 
-(* Run the concurrent workload under [schedule] on a fresh (or rewound
-   scratch) heap; [budget] arms the crash scheduler exactly like the
-   sequential [run_until]. *)
-let crun_until ?scratch cfg (cw : Workload.ct) ~schedule ~budget =
-  let heap =
-    match scratch with
-    | Some s ->
-        Pmalloc.Heap.reset_fresh s.s_heap ~pristine:s.s_pristine;
-        s.s_heap
-    | None ->
-        Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-          ~seed:cfg.heap_seed ()
-  in
-  let region = Pmalloc.Heap.region heap in
-  let base_events = Pmem.Region.pm_events region in
-  (match budget with
-  | Some n -> Pmem.Region.set_crash_after region n
-  | None -> ());
-  let inst = cw.Workload.cmake heap in
-  match
-    inst.Workload.c_init ();
-    Interleave.run region ~schedule inst.Workload.c_writers
-  with
-  | () ->
-      Pmem.Region.clear_crash_point region;
-      `Completed (Pmem.Region.pm_events region - base_events, heap, inst)
-  | exception Pmem.Region.Crash_point -> `Crashed (heap, inst)
-
-let crecover_and_check (inst : Workload.cinstance) =
-  let recovered =
-    match
-      inst.Workload.c_recover ();
-      inst.Workload.c_dump ()
-    with
-    | s -> Ok s
-    | exception e -> Error e
-  in
-  Oracle.check_concurrent inst.Workload.c_tracker ~recovered
-
-(* Sample one concurrent crash point under every mode (and survival
-   seed), sharing the sequential sweep's seed streams so any failure
-   replays from its (schedule, crash index, mode, seed) tuple. *)
-let csample_point cfg (cw : Workload.ct) ~schedule ~crash_index heap inst =
-  let region = Pmalloc.Heap.region heap in
-  let snap = Pmem.Region.snapshot region in
-  let sampled = ref 0 in
-  let failures = ref [] in
-  List.iter
-    (fun mode ->
-      let samples =
-        match mode with
-        | Pmem.Region.Randomize -> cfg.randomize_samples
-        | Pmem.Region.Drop_inflight | Pmem.Region.Keep_inflight -> 1
-      in
-      for k = 0 to samples - 1 do
-        Pmem.Region.restore region snap;
-        let seed =
-          match mode with
-          | Pmem.Region.Randomize -> Some (survival_seed cfg ~crash_index ~k)
-          | _ -> None
-        in
-        Pmalloc.Heap.crash ~mode ?seed heap;
-        incr sampled;
-        match crecover_and_check inst with
-        | Oracle.Consistent -> ()
-        | Oracle.Violation detail ->
-            failures :=
-              {
-                cf_workload = cw.Workload.cname;
-                cf_writers = cw.Workload.cwriters;
-                cf_ops = cw.Workload.cops;
-                cf_schedule = schedule;
-                cf_crash_index = crash_index;
-                cf_mode = mode;
-                cf_survival_seed = seed;
-                cf_detail = detail;
-              }
-              :: !failures
-      done)
-    cfg.modes;
-  (!sampled, List.rev !failures)
-
+(* Every schedule is preceded by an uncrashed run: its final durable
+   state must be serializable ({!serialized}, reported as crash index
+   -1), and it sizes the budget sweep.  Crash points are sampled by the
+   sequential sweep's sampler, sharing its seed streams, so any failure
+   replays from its (schedule, crash index, mode, seed) tuple.  The
+   fault schedule targets the sequential structures' root record and is
+   not sampled here. *)
 let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
     (cw : Workload.ct) =
   let t0 = Unix.gettimeofday () in
-  let scratch =
-    match cfg.snapshot_mode with
-    | Pmem.Region.Journal -> Some (make_scratch cfg)
-    | Pmem.Region.Full_copy -> None
-  in
-  let tested = ref 0 in
-  let skipped = ref 0 in
-  let sampled = ref 0 in
+  let cfg = { cfg with faults = false } in
+  let scratch = scratch_for cfg in
+  let t = tally () in
   let total = ref 0 in
-  let failures = ref [] in
+  let skipped = ref 0 in
   List.iter
     (fun schedule ->
-      (* the uncrashed run: its final durable state must equal the
-         newest tracked model state (serializability), and it sizes the
-         budget sweep *)
+      let fail s detail =
+        {
+          cf_workload = cw.cname;
+          cf_writers = cw.cwriters;
+          cf_ops = cw.cops;
+          cf_schedule = schedule;
+          cf_crash_index = s.s_index;
+          cf_mode = s.s_mode;
+          cf_survival_seed = s.s_seed;
+          cf_detail = detail;
+        }
+      in
       let events =
         match crun_until ?scratch cfg cw ~schedule ~budget:None with
         | `Crashed _ -> assert false (* no budget armed *)
         | `Completed (events, _heap, inst) ->
-            (match inst.Workload.c_dump () with
-            | final ->
-                let expect = Oracle.latest inst.Workload.c_tracker in
-                if final <> expect then
-                  failures :=
-                    {
-                      cf_workload = cw.Workload.cname;
-                      cf_writers = cw.Workload.cwriters;
-                      cf_ops = cw.Workload.cops;
-                      cf_schedule = schedule;
-                      cf_crash_index = -1;
-                      cf_mode = Pmem.Region.Keep_inflight;
-                      cf_survival_seed = None;
-                      cf_detail =
-                        Printf.sprintf
-                          "final state %s does not match the serialized \
-                           model %s"
-                          final expect;
-                    }
-                    :: !failures
-            | exception e ->
-                failures :=
-                  {
-                    cf_workload = cw.Workload.cname;
-                    cf_writers = cw.Workload.cwriters;
-                    cf_ops = cw.Workload.cops;
-                    cf_schedule = schedule;
-                    cf_crash_index = -1;
-                    cf_mode = Pmem.Region.Keep_inflight;
-                    cf_survival_seed = None;
-                    cf_detail =
-                      Printf.sprintf "reading the final state raised %s"
-                        (Printexc.to_string e);
-                  }
-                  :: !failures);
+            (match serialized inst with
+            | Oracle.Consistent -> ()
+            | Oracle.Violation detail ->
+                t.t_failures <-
+                  fail
+                    { s_index = -1; s_mode = Pmem.Region.Keep_inflight;
+                      s_seed = None; s_fault = false }
+                    detail
+                  :: t.t_failures);
             events
       in
       total := !total + events;
@@ -769,12 +722,8 @@ let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
           match crun_until ?scratch cfg cw ~schedule ~budget:(Some budget) with
           | `Completed _ -> ()
           | `Crashed (heap, inst) ->
-              incr tested;
-              let n, fs =
-                csample_point cfg cw ~schedule ~crash_index:budget heap inst
-              in
-              sampled := !sampled + n;
-              failures := List.rev_append fs !failures)
+              t.t_tested <- t.t_tested + 1;
+              sample_point cfg t ~crash_index:budget heap (cpoint inst) ~fail)
         bs;
       skipped := !skipped + max 0 (events - List.length bs))
     schedules;
@@ -783,22 +732,22 @@ let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
       (Printf.sprintf
          "%s: tested %d of %d concurrent crash points (stride %d%s), %d \
           skipped"
-         cw.Workload.cname !tested !total cfg.stride
+         cw.cname t.t_tested !total cfg.stride
          (match cfg.max_points with
          | Some m -> Printf.sprintf ", cap %d/schedule" m
          | None -> "")
          !skipped);
   {
-    cr_workload = cw.Workload.cname;
-    cr_writers = cw.Workload.cwriters;
-    cr_ops = cw.Workload.cops;
+    cr_workload = cw.cname;
+    cr_writers = cw.cwriters;
+    cr_ops = cw.cops;
     cr_schedules = List.length schedules;
     cr_total_events = !total;
-    cr_points_tested = !tested;
+    cr_points_tested = t.t_tested;
     cr_points_skipped = !skipped;
-    cr_crashes_sampled = !sampled;
+    cr_crashes_sampled = t.t_sampled;
     cr_wall_seconds = Unix.gettimeofday () -. t0;
-    cr_failures = List.rev !failures;
+    cr_failures = List.rev t.t_failures;
   }
 
 let pp_failure ppf (f : failure) =

@@ -35,9 +35,13 @@ val default : config
 type failure = {
   workload : string;
   ops : int;
+  persist : Pmalloc.Heap.policy;  (** the policy the workload was built under *)
   crash_index : int;  (** PM event the power failed after *)
   mode : Pmem.Region.crash_mode;
   survival_seed : int option;  (** Randomize line-survival seed *)
+  faults : int option;
+      (** [Some seed]: a fault-schedule sample of a sweep whose master
+          seed was [seed] ([survival_seed] is its torn crash's seed) *)
   detail : string;
 }
 
@@ -89,6 +93,12 @@ val run_until :
 
 val recover_and_check : crashed -> Oracle.verdict
 
+val sample_at : config -> Workload.t -> crash_index:int -> failure list option
+(** Re-run the workload on a fresh heap to one crash point and sample it
+    exactly as a sweep does: every mode and survival seed of [config]
+    and, with [faults], the fault schedule.  Its failures in sweep
+    order; [None] past the workload's last PM event. *)
+
 val explore : ?cfg:config -> Workload.t -> result
 (** The full sweep: every strided crash point x every mode x every
     survival seed, plus the uncrashed trace check. *)
@@ -128,7 +138,6 @@ type cresult = {
 }
 
 val cok : cresult -> bool
-val cpoints_per_sec : cresult -> float
 
 val default_schedules : Interleave.schedule list
 (** Round-robin at co-prime quanta plus seeded random walks. *)
@@ -143,6 +152,10 @@ val crun_until :
   | `Crashed of Pmalloc.Heap.t * Workload.cinstance ]
 
 val crecover_and_check : Workload.cinstance -> Oracle.verdict
+
+val serialized : Workload.cinstance -> Oracle.verdict
+(** The uncrashed run's serializability check: its final durable state
+    must equal the newest tracked model state. *)
 
 val explore_concurrent :
   ?cfg:config -> ?schedules:Interleave.schedule list -> Workload.ct -> cresult

@@ -1,15 +1,17 @@
 (** Minimal-repro replay and shrinking.
 
     Every explorer failure is identified by a small tuple -- sequential:
-    (workload/ops, crash event index, mode, survival seed); concurrent:
-    the same plus (writers, interleaving schedule).  [replay]/[creplay]
-    re-run exactly that crash deterministically, [command]/[ccommand]
-    print the CLI incantation that does the same, and [minimize] shrinks
-    a sequential workload to the smallest operation count that still
-    reproduces.  Replay always executes on a fresh heap and crashes the
-    live image directly -- no snapshots, no workers -- so a repro
-    command reproduces bit-for-bit regardless of the sweep settings that
-    found it. *)
+    (workload/ops, commit policy, crash event index, mode, survival
+    seed), or for a fault-schedule sample (workload/ops, policy, crash
+    event index, the sweep's master seed); concurrent: (workload/ops,
+    writers, interleaving schedule, crash event index, mode, survival
+    seed).  [replay]/[replay_faults]/[creplay] re-run exactly that crash
+    deterministically, [command]/[ccommand] print the CLI incantation
+    that does the same, and [minimize] shrinks a sequential workload to
+    the smallest operation count that still reproduces.  Replay always
+    executes on a fresh heap -- no workers, no journaled scratch heap --
+    so a repro command reproduces bit-for-bit regardless of the sweep
+    settings that found it. *)
 
 val replay :
   ?cfg:Explorer.config ->
@@ -22,8 +24,24 @@ val replay :
 (** Re-run one crash point, single sample.  [None] means the crash
     index lies beyond the workload's last PM event. *)
 
+val replay_faults :
+  ?cfg:Explorer.config ->
+  Workload.t ->
+  crash_index:int ->
+  Explorer.failure list option
+(** Re-run one crash point's fault schedule (torn crashes plus armed
+    media faults, seeded by [cfg.seed]) through the sweep's sampler:
+    the fault-sample failures the sweep found there.  [None] past the
+    last PM event. *)
+
 val command : Explorer.failure -> string
+(** The repro command: [--replay N --mode M [--survival-seed S]], or
+    [--replay N --faults --seed S] for a fault-schedule sample; with
+    [--persist backup] when the workload ran under Backup. *)
+
 val reproduces : ?cfg:Explorer.config -> Explorer.failure -> bool
+(** Rebuilds the workload under the failure's policy and re-runs its
+    crash point (its fault schedule, for a fault-sample failure). *)
 
 val minimize : ?cfg:Explorer.config -> Explorer.failure -> Explorer.failure
 (** Shrink the operation count (1, 2, 4, ...) to the smallest workload

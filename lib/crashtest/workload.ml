@@ -10,7 +10,11 @@
     [make] builds a per-heap instance whose closures apply operations,
     recover after a crash, and dump the recovered abstract state.
     Instance construction itself performs no PM work; [init] does, so a
-    crash can land inside initialization too. *)
+    crash can land inside initialization too.
+
+    Adding a workload is one spec: the single-slot workloads differ only
+    in their script generator, model, structure call and element reader
+    ({!spec}); everything else comes from {!single}. *)
 
 type state = string
 
@@ -28,6 +32,7 @@ type t = {
       (** negative control: the oracle is expected to report violations *)
   check_trace : bool;
       (** also run the Section 5.4 trace checker (MOD-only invariant) *)
+  persist : Pmalloc.Heap.policy;  (** the commit policy it was built under *)
   model : state array;  (** [model.(i)] = state after [i] operations *)
   make : Pmalloc.Heap.t -> instance;
 }
@@ -56,71 +61,156 @@ let render_pairs l =
       (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)
   ^ "}"
 
-(* [prefix_states ~init ~apply script] is the ops+1 abstract states after
-   every prefix of [script], starting from [init]. *)
-let prefix_states ~init ~apply script =
-  let _, acc =
-    List.fold_left
-      (fun (cur, acc) op ->
-        let next = apply cur op in
-        (next, next :: acc))
-      (init, [ init ]) script
-  in
-  Array.of_list (List.rev acc)
+(* -- the builder ---------------------------------------------------------- *)
 
-(* -- map ------------------------------------------------------------------ *)
+(* The abstract model: its initial state, one scripted op's effect, and
+   the canonical rendering the oracle compares. *)
+type ('op, 's) model = {
+  start : 's;
+  step : 's -> 'op -> 's;
+  render : 's -> state;
+}
+
+(* [prefix_states m script] is the ops+1 rendered states after every
+   prefix of [script]. *)
+let prefix_states m script =
+  let _, acc =
+    Array.fold_left
+      (fun (cur, acc) op ->
+        let next = m.step cur op in
+        (next, next :: acc))
+      (m.start, [ m.start ])
+      script
+  in
+  Array.of_list (List.rev_map m.render acc)
+
+(* The one record every sequential workload is: the script [gen] draws
+   from the seed of [seed] (default [name]) at [ops], its model's prefix
+   states, and [make script] as the per-heap instance. *)
+let scripted ?persist ?(negative = false) ?seed ~check_trace name ~ops gen
+    model make =
+  let rng =
+    Random.State.make [| seed_of (Option.value seed ~default:name) ~ops |]
+  in
+  let script = Array.of_list (gen rng ~ops) in
+  {
+    name;
+    ops;
+    negative;
+    check_trace;
+    persist = Option.value persist ~default:Pmalloc.Heap.Full;
+    model = prefix_states model script;
+    make = make script;
+  }
+
+let draws op rng ~ops = List.init ops (fun _ -> op rng)
+
+(* A single-slot workload: one durable structure at root slot 0.  The
+   open and the Backup reconstruct come from the structure's
+   {!Mod_core.Durable.S}; [run] is the structure call for one scripted
+   op (applied once per heap, so it may allocate per-instance state) and
+   [read] the structure's own element reader.  Readers stay per
+   structure: which exception a corrupted image raises, and so the
+   fault-sweep counts, depends on them. *)
+type ('op, 's) spec = {
+  script : Random.State.t -> ops:int -> 'op list;
+  model : ('op, 's) model;
+  structure : (module Mod_core.Durable.S with type t = Mod_core.Handle.t);
+  run : Pmalloc.Heap.t -> Mod_core.Handle.t -> 'op -> unit;
+  read : Pmalloc.Heap.t -> Mod_core.Handle.t -> 's;
+}
+
+let dump (s : (_, _) spec) heap =
+  let (module S) = s.structure in
+  S.reconstruct heap ~slot:0;
+  s.model.render (s.read heap (Mod_core.Handle.make heap ~slot:0))
+
+let recover_exn ?stm ?norec heap =
+  ignore (Mod_core.Recovery.recover_exn ?stm ?norec heap)
+
+(* [opens:false] leaves the slot unopened: the broken map swings its
+   root by hand. *)
+let single ?persist ?negative ?(opens = true) ?seed name (s : (_, _) spec)
+    ~ops =
+  let (module S) = s.structure in
+  scripted ?persist ?negative ?seed ~check_trace:(not (is_backup persist))
+    name ~ops s.script s.model (fun script heap ->
+      let h = Mod_core.Handle.make heap ~slot:0 in
+      let run = s.run heap h in
+      {
+        init =
+          (fun () ->
+            if opens then ignore (S.open_or_create ?persist heap ~slot:0));
+        run_op = (fun i -> run script.(i));
+        dump = (fun () -> dump s heap);
+        recover = (fun () -> recover_exn heap);
+      })
+
+(* -- keyed structures: map and set ---------------------------------------- *)
 
 module IntMap = Map.Make (Int)
 module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
+module Iset = Mod_core.Dset.Make (Pfds.Kv.Int)
 
-type map_op = Minsert of int * int | Mremove of int
+(* A set is modelled as a map to unit, so maps and sets share one op
+   type, one generator and one model step. *)
+type 'v key_op = Add of int * 'v | Remove of int
 
-let map_script ~ops seed =
-  let rng = Random.State.make [| seed |] in
-  List.init ops (fun _ ->
-      let k = Random.State.int rng 24 in
-      if Random.State.int rng 3 < 2 then
-        Minsert (k, Random.State.int rng 1000)
-      else Mremove k)
+let key_op ~keys value rng =
+  let k = Random.State.int rng keys in
+  if Random.State.int rng 3 < 2 then Add (k, value rng) else Remove k
 
-let map_model script =
-  Array.map
-    (fun m -> render_pairs (IntMap.bindings m))
-    (prefix_states ~init:IntMap.empty
-       ~apply:(fun m -> function
-         | Minsert (k, v) -> IntMap.add k v m
-         | Mremove k -> IntMap.remove k m)
-       script)
+let map_value rng = Random.State.int rng 1000
+let set_value _ = ()
 
-let dump_map heap =
-  Imap.reconstruct heap ~slot:0;
-  let h = Mod_core.Handle.make heap ~slot:0 in
-  render_pairs
-    (IntMap.bindings (Imap.fold h IntMap.add IntMap.empty))
+let key_step m = function
+  | Add (k, v) -> IntMap.add k v m
+  | Remove k -> IntMap.remove k m
 
-let map_workload ?persist ~ops () =
-  let script = map_script ~ops (seed_of "map" ~ops) in
-  let arr = Array.of_list script in
+let key_model render = { start = IntMap.empty; step = key_step; render }
+let map_model = key_model (fun m -> render_pairs (IntMap.bindings m))
+
+let set_model =
+  key_model (fun m -> render_ints (List.map fst (IntMap.bindings m)))
+
+(* The pure half of one keyed op: the shadow to commit, or [None] when a
+   remove finds nothing (the version is returned unchanged). *)
+let key_pure ~add ~remove heap version = function
+  | Add (k, v) -> Some (add heap version k v)
+  | Remove k -> (
+      match remove heap version k with
+      | shadow, true -> Some shadow
+      | _, false -> None)
+
+let map_pure = key_pure ~add:Imap.insert_pure ~remove:Imap.remove_pure
+
+let set_pure =
+  key_pure
+    ~add:(fun heap version k () -> Iset.add_pure heap version k)
+    ~remove:Iset.remove_pure
+
+let map_spec =
   {
-    name = "map";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model = map_model script;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () -> ignore (Imap.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Minsert (k, v) -> Imap.insert h k v
-              | Mremove k -> ignore (Imap.remove h k : bool));
-          dump = (fun () -> dump_map heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    script = draws (key_op ~keys:24 map_value);
+    model = map_model;
+    structure = (module Imap);
+    run =
+      (fun _ h -> function
+        | Add (k, v) -> Imap.insert h k v
+        | Remove k -> ignore (Imap.remove h k : bool));
+    read = (fun _ h -> Imap.fold h IntMap.add IntMap.empty);
+  }
+
+let set_spec =
+  {
+    script = draws (key_op ~keys:24 set_value);
+    model = set_model;
+    structure = (module Iset);
+    run =
+      (fun _ h -> function
+        | Add (k, ()) -> Iset.add h k
+        | Remove k -> ignore (Iset.remove h k : bool));
+    read = (fun _ h -> Iset.fold h (fun k m -> IntMap.add k () m) IntMap.empty);
   }
 
 (* A deliberately broken MOD map: commits swing the root pointer without
@@ -128,10 +218,7 @@ let map_workload ?persist ~ops () =
    nodes never became durable.  The Section 5.4 trace checker does not
    catch this (it only inspects flush-before-fence pairs, and there are
    no fences); only the durable-linearizability oracle does. *)
-let map_nofence_workload ~ops =
-  let script = map_script ~ops (seed_of "map" ~ops) in
-  let arr = Array.of_list script in
-  let base = map_workload ~ops () in
+let map_nofence_spec =
   let broken_commit heap version =
     let old = Pmalloc.Heap.root_get heap 0 in
     (* missing ordering point: no sfence before the root swing *)
@@ -140,85 +227,18 @@ let map_nofence_workload ~ops =
       Pmalloc.Heap.release heap (Pmem.Word.to_ptr old)
   in
   {
-    base with
-    name = "map-nofence";
-    negative = true;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init = (fun () -> ());
-          run_op =
-            (fun i ->
-              let v = Mod_core.Handle.current h in
-              match arr.(i) with
-              | Minsert (k, value) ->
-                  broken_commit heap (Imap.insert_pure heap v k value)
-              | Mremove k ->
-                  let shadow, removed = Imap.remove_pure heap v k in
-                  if removed then broken_commit heap shadow);
-          dump = (fun () -> dump_map heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    map_spec with
+    run =
+      (fun heap h op ->
+        Option.iter (broken_commit heap)
+          (map_pure heap (Mod_core.Handle.current h) op));
   }
 
-(* -- set ------------------------------------------------------------------ *)
-
-module Iset = Mod_core.Dset.Make (Pfds.Kv.Int)
-module IntSet = Set.Make (Int)
-
-type set_op = Sadd of int | Sremove of int
-
-let set_workload ?persist ~ops () =
-  let rng = Random.State.make [| seed_of "set" ~ops |] in
-  let script =
-    List.init ops (fun _ ->
-        let k = Random.State.int rng 24 in
-        if Random.State.int rng 3 < 2 then Sadd k else Sremove k)
-  in
-  let arr = Array.of_list script in
-  let model =
-    Array.map
-      (fun s -> render_ints (IntSet.elements s))
-      (prefix_states ~init:IntSet.empty
-         ~apply:(fun s -> function
-           | Sadd k -> IntSet.add k s
-           | Sremove k -> IntSet.remove k s)
-         script)
-  in
-  let dump heap =
-    Iset.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    render_ints (IntSet.elements (Iset.fold h IntSet.add IntSet.empty))
-  in
-  {
-    name = "set";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () -> ignore (Iset.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Sadd k -> Iset.add h k
-              | Sremove k -> ignore (Iset.remove h k : bool));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-(* -- stack / queue -------------------------------------------------------- *)
+(* -- stack / queue / priority queue --------------------------------------- *)
 
 type sq_op = Push of int | Pop
 
-let sq_script name ~ops =
-  let rng = Random.State.make [| seed_of name ~ops |] in
+let sq_script rng ~ops =
   let rec gen i depth acc =
     if i = ops then List.rev acc
     else if depth > 0 && Random.State.int rng 3 = 0 then
@@ -227,92 +247,61 @@ let sq_script name ~ops =
   in
   gen 0 0 []
 
-let stack_workload ?persist ~ops () =
-  let script = sq_script "stack" ~ops in
-  let arr = Array.of_list script in
-  let model =
-    Array.map render_ints
-      (prefix_states ~init:[]
-         ~apply:(fun s -> function
-           | Push v -> v :: s
-           | Pop -> ( match s with [] -> [] | _ :: tl -> tl))
-         script)
-  in
-  let dump heap =
-    Mod_core.Dstack.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    render_ints (List.map Pmem.Word.to_int (Mod_core.Dstack.to_list h))
-  in
+let ints_model step = { start = []; step; render = render_ints }
+let tail = function [] -> [] | _ :: tl -> tl
+let words l = List.map Pmem.Word.to_int l
+
+(* descriptor-rooted structures read an unopened slot as empty *)
+let opened to_list h =
+  if not (Mod_core.Handle.is_initialized h) then [] else words (to_list h)
+
+let stack_spec =
   {
-    name = "stack";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dstack.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Push v -> Mod_core.Dstack.push h (Pmem.Word.of_int v)
-              | Pop -> ignore (Mod_core.Dstack.pop h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    script = sq_script;
+    model =
+      ints_model (fun s -> function Push v -> v :: s | Pop -> tail s);
+    structure = (module Mod_core.Dstack);
+    run =
+      (fun _ h -> function
+        | Push v -> Mod_core.Dstack.push h (Pmem.Word.of_int v)
+        | Pop -> ignore (Mod_core.Dstack.pop h));
+    read = (fun _ h -> words (Mod_core.Dstack.to_list h));
   }
 
-let queue_workload ?persist ~ops () =
-  let script = sq_script "queue" ~ops in
-  let arr = Array.of_list script in
-  let model =
-    Array.map render_ints
-      (prefix_states ~init:[]
-         ~apply:(fun q -> function
-           | Push v -> q @ [ v ]
-           | Pop -> ( match q with [] -> [] | _ :: tl -> tl))
-         script)
-  in
-  let dump heap =
-    Mod_core.Dqueue.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    if not (Mod_core.Handle.is_initialized h) then render_ints []
-    else
-      render_ints (List.map Pmem.Word.to_int (Mod_core.Dqueue.to_list h))
-  in
+let queue_spec =
   {
-    name = "queue";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dqueue.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Push v -> Mod_core.Dqueue.enqueue h (Pmem.Word.of_int v)
-              | Pop -> ignore (Mod_core.Dqueue.dequeue h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    script = sq_script;
+    model =
+      ints_model (fun q -> function Push v -> q @ [ v ] | Pop -> tail q);
+    structure = (module Mod_core.Dqueue);
+    run =
+      (fun _ h -> function
+        | Push v -> Mod_core.Dqueue.enqueue h (Pmem.Word.of_int v)
+        | Pop -> ignore (Mod_core.Dqueue.dequeue h));
+    read = (fun _ -> opened Mod_core.Dqueue.to_list);
+  }
+
+let pqueue_spec =
+  {
+    script = sq_script;
+    model =
+      ints_model (fun s -> function
+        | Push p -> List.sort compare (p :: s) | Pop -> tail s);
+    structure = (module Mod_core.Dpqueue);
+    run =
+      (fun _ h -> function
+        | Push p -> Mod_core.Dpqueue.insert h p
+        | Pop -> ignore (Mod_core.Dpqueue.delete_min h));
+    read =
+      (fun heap h ->
+        Pfds.Pheap.to_sorted_list_model heap (Mod_core.Handle.current h));
   }
 
 (* -- vector / sequence ---------------------------------------------------- *)
 
 type vec_op = Vpush of int | Vset of int * int | Vpop
 
-let vec_script name ~ops =
-  let rng = Random.State.make [| seed_of name ~ops |] in
+let vec_script rng ~ops =
   let rec gen i size acc =
     if i = ops then List.rev acc
     else
@@ -328,131 +317,38 @@ let vec_script name ~ops =
   in
   gen 0 0 []
 
-let vec_like_states script =
-  let apply l = function
+let vec_model =
+  ints_model (fun l -> function
     | Vpush v -> l @ [ v ]
     | Vset (i, v) -> List.mapi (fun j x -> if j = i then v else x) l
-    | Vpop -> ( match List.rev l with [] -> [] | _ :: tl -> List.rev tl)
-  in
-  Array.map render_ints (prefix_states ~init:[] ~apply script)
+    | Vpop -> List.rev (tail (List.rev l)))
 
-let vec_workload ?persist ~ops () =
-  let script = vec_script "vec" ~ops in
-  let arr = Array.of_list script in
-  let dump heap =
-    Mod_core.Dvec.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    if not (Mod_core.Handle.is_initialized h) then render_ints []
-    else render_ints (List.map Pmem.Word.to_int (Mod_core.Dvec.to_list h))
-  in
+let vec_spec =
   {
-    name = "vec";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model = vec_like_states script;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dvec.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Vpush v -> Mod_core.Dvec.push_back h (Pmem.Word.of_int v)
-              | Vset (j, v) -> Mod_core.Dvec.set h j (Pmem.Word.of_int v)
-              | Vpop -> ignore (Mod_core.Dvec.pop_back h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    script = vec_script;
+    model = vec_model;
+    structure = (module Mod_core.Dvec);
+    run =
+      (fun _ h -> function
+        | Vpush v -> Mod_core.Dvec.push_back h (Pmem.Word.of_int v)
+        | Vset (j, v) -> Mod_core.Dvec.set h j (Pmem.Word.of_int v)
+        | Vpop -> ignore (Mod_core.Dvec.pop_back h));
+    read = (fun _ -> opened Mod_core.Dvec.to_list);
   }
 
-let seq_workload ?persist ~ops () =
-  let script = vec_script "seq" ~ops in
-  let arr = Array.of_list script in
-  let dump heap =
-    Mod_core.Dseq.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    if not (Mod_core.Handle.is_initialized h) then render_ints []
-    else render_ints (List.map Pmem.Word.to_int (Mod_core.Dseq.to_list h))
-  in
+let seq_spec =
   {
-    name = "seq";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model = vec_like_states script;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dseq.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Vpush v -> Mod_core.Dseq.push_back h (Pmem.Word.of_int v)
-              | Vset (j, v) -> Mod_core.Dseq.set h j (Pmem.Word.of_int v)
-              | Vpop ->
-                  let size = Mod_core.Dseq.size h in
-                  Mod_core.Dseq.restrict h ~pos:0 ~len:(size - 1));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-(* -- priority queue ------------------------------------------------------- *)
-
-type pq_op = Pinsert of int | Pdelete_min
-
-let pqueue_workload ?persist ~ops () =
-  let rng = Random.State.make [| seed_of "pqueue" ~ops |] in
-  let rec gen i size acc =
-    if i = ops then List.rev acc
-    else if size > 0 && Random.State.int rng 3 = 0 then
-      gen (i + 1) (size - 1) (Pdelete_min :: acc)
-    else gen (i + 1) (size + 1) (Pinsert (Random.State.int rng 1000) :: acc)
-  in
-  let script = gen 0 0 [] in
-  let arr = Array.of_list script in
-  let model =
-    Array.map render_ints
-      (prefix_states ~init:[]
-         ~apply:(fun s -> function
-           | Pinsert p -> List.sort compare (p :: s)
-           | Pdelete_min -> ( match s with [] -> [] | _ :: tl -> tl))
-         script)
-  in
-  let dump heap =
-    Mod_core.Dpqueue.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    render_ints
-      (Pfds.Pheap.to_sorted_list_model heap (Mod_core.Handle.current h))
-  in
-  {
-    name = "pqueue";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dpqueue.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Pinsert p -> Mod_core.Dpqueue.insert h p
-              | Pdelete_min -> ignore (Mod_core.Dpqueue.delete_min h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    script = vec_script;
+    model = vec_model;
+    structure = (module Mod_core.Dseq);
+    run =
+      (fun _ h -> function
+        | Vpush v -> Mod_core.Dseq.push_back h (Pmem.Word.of_int v)
+        | Vset (j, v) -> Mod_core.Dseq.set h j (Pmem.Word.of_int v)
+        | Vpop ->
+            let size = Mod_core.Dseq.size h in
+            Mod_core.Dseq.restrict h ~pos:0 ~len:(size - 1));
+    read = (fun _ -> opened Mod_core.Dseq.to_list);
   }
 
 (* -- group-commit batching (Batch / CommitSiblings / CommitUnrelated) ----- *)
@@ -463,54 +359,31 @@ let pqueue_workload ?persist ~ops () =
    state before the whole group or after it, never in between. *)
 let batch_group = 3
 
-let batched_workload ?persist ~ops () =
-  let script =
-    map_script ~ops:(ops * batch_group) (seed_of "batched" ~ops)
-  in
-  let groups =
-    Array.init ops (fun i ->
-        Array.init batch_group (fun j ->
-            List.nth script ((i * batch_group) + j)))
-  in
-  let model =
-    Array.map
-      (fun m -> render_pairs (IntMap.bindings m))
-      (prefix_states ~init:IntMap.empty
-         ~apply:(fun m group ->
-           Array.fold_left
-             (fun m -> function
-               | Minsert (k, v) -> IntMap.add k v m
-               | Mremove k -> IntMap.remove k m)
-             m group)
-         (Array.to_list groups))
-  in
+let batched_spec =
   {
-    name = "batched";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    model;
-    make =
-      (fun heap ->
+    script =
+      (fun rng ~ops ->
+        let flat =
+          Array.of_list (map_spec.script rng ~ops:(ops * batch_group))
+        in
+        List.init ops (fun i -> Array.sub flat (i * batch_group) batch_group));
+    model =
+      {
+        map_model with
+        step = (fun m group -> Array.fold_left key_step m group);
+      };
+    structure = (module Imap);
+    run =
+      (fun heap _ ->
         let b = Mod_core.Batch.create heap in
-        {
-          init =
-            (fun () -> ignore (Imap.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              Array.iter
-                (function
-                  | Minsert (k, v) ->
-                      Mod_core.Batch.stage b ~slot:0 (fun version ->
-                          Imap.insert_pure heap version k v)
-                  | Mremove k ->
-                      Mod_core.Batch.stage b ~slot:0 (fun version ->
-                          fst (Imap.remove_pure heap version k)))
-                groups.(i);
-              ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
-          dump = (fun () -> dump_map heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+        fun group ->
+          Array.iter
+            (fun op ->
+              Mod_core.Batch.stage b ~slot:0 (fun version ->
+                  Option.value ~default:version (map_pure heap version op)))
+            group;
+          ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
+    read = map_spec.read;
   }
 
 (* CommitSiblings under crash: one parent object at slot 0 whose two
@@ -518,73 +391,64 @@ let batched_workload ?persist ~ops () =
    {!Mod_core.Batch.stage_field} and retires them with one fresh parent
    and one fence.  Recovery must see both stacks move together. *)
 let siblings_workload ~ops =
-  let script = sq_script "siblings" ~ops in
-  let arr = Array.of_list script in
   let render (a, b) = render_ints a ^ "|" ^ render_ints b in
   let model =
-    Array.map render
-      (prefix_states ~init:([], [])
-         ~apply:(fun (a, b) -> function
-           | Push v -> (v :: a, (v + 500) :: b)
-           | Pop -> (
-               match (a, b) with
-               | _ :: ta, _ :: tb -> (ta, tb)
-               | _ -> (a, b)))
-         script)
+    {
+      start = ([], []);
+      render;
+      step =
+        (fun (a, b) -> function
+          | Push v -> (v :: a, (v + 500) :: b)
+          | Pop -> (
+              match (a, b) with
+              | _ :: ta, _ :: tb -> (ta, tb)
+              | _ -> (a, b)));
+    }
   in
   let dump heap =
     let root = Pmalloc.Heap.root_get heap 0 in
-    if Pmem.Word.is_null root then model.(0)
+    if Pmem.Word.is_null root then render model.start
     else
       let parent = Pmem.Word.to_ptr root in
       let stack f =
-        List.map Pmem.Word.to_int
-          (Pfds.Pstack.to_list heap (Pfds.Node.get heap parent f))
+        words (Pfds.Pstack.to_list heap (Pfds.Node.get heap parent f))
       in
-      render_ints (stack 0) ^ "|" ^ render_ints (stack 1)
+      render (stack 0, stack 1)
   in
-  {
-    name = "siblings";
-    ops;
-    negative = false;
-    check_trace = true;
-    model;
-    make =
-      (fun heap ->
-        let b = Mod_core.Batch.create heap in
-        {
-          init =
-            (fun () ->
-              (* one FASE: build the two-field parent, install it *)
-              let parent = Pfds.Node.alloc heap ~words:2 in
-              Pfds.Node.set heap parent 0 Pfds.Pstack.empty;
-              Pfds.Node.set heap parent 1 Pfds.Pstack.empty;
-              Pfds.Node.finish heap parent;
-              Mod_core.Commit.single heap ~slot:0 (Pmem.Word.of_ptr parent));
-          run_op =
-            (fun i ->
-              let stage_stack field f =
-                Mod_core.Batch.stage_field b ~slot:0 ~field f
-              in
-              (match arr.(i) with
-              | Push v ->
-                  stage_stack 0 (fun w ->
-                      Pfds.Pstack.push heap w (Pmem.Word.of_int v));
-                  stage_stack 1 (fun w ->
-                      Pfds.Pstack.push heap w (Pmem.Word.of_int (v + 500)))
-              | Pop ->
-                  let pop w =
-                    match Pfds.Pstack.pop heap w with
-                    | None -> w
-                    | Some (_, shadow) -> shadow
-                  in
-                  stage_stack 0 pop;
-                  stage_stack 1 pop);
-              ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
+  scripted ~check_trace:true "siblings" ~ops sq_script model (fun script heap ->
+      let b = Mod_core.Batch.create heap in
+      {
+        init =
+          (fun () ->
+            (* one FASE: build the two-field parent, install it *)
+            let parent = Pfds.Node.alloc heap ~words:2 in
+            Pfds.Node.set heap parent 0 Pfds.Pstack.empty;
+            Pfds.Node.set heap parent 1 Pfds.Pstack.empty;
+            Pfds.Node.finish heap parent;
+            Mod_core.Commit.single heap ~slot:0 (Pmem.Word.of_ptr parent));
+        run_op =
+          (fun i ->
+            let stage_stack field f =
+              Mod_core.Batch.stage_field b ~slot:0 ~field f
+            in
+            (match script.(i) with
+            | Push v ->
+                stage_stack 0 (fun w ->
+                    Pfds.Pstack.push heap w (Pmem.Word.of_int v));
+                stage_stack 1 (fun w ->
+                    Pfds.Pstack.push heap w (Pmem.Word.of_int (v + 500)))
+            | Pop ->
+                let pop w =
+                  match Pfds.Pstack.pop heap w with
+                  | None -> w
+                  | Some (_, shadow) -> shadow
+                in
+                stage_stack 0 pop;
+                stage_stack 1 pop);
+            ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
+        dump = (fun () -> dump heap);
+        recover = (fun () -> recover_exn heap);
+      })
 
 (* CommitUnrelated under crash: two maps at unrelated root slots 0 and 1,
    both updated in one batch, retired by the shadow fence plus the
@@ -592,65 +456,51 @@ let siblings_workload ~ops =
    transaction must roll back both root swings together (the WAL is the
    atomicity mechanism, exactly Figure 8d). *)
 let unrelated_workload ~ops =
-  let rng = Random.State.make [| seed_of "unrelated" ~ops |] in
-  let script =
-    List.init ops (fun _ ->
-        let k = Random.State.int rng 24 in
-        let v = Random.State.int rng 1000 in
-        (k, v, Random.State.int rng 3 < 2))
-  in
-  let arr = Array.of_list script in
-  let render (m0, m1) =
-    render_pairs (IntMap.bindings m0) ^ "|" ^ render_pairs (IntMap.bindings m1)
+  let op rng =
+    let k = Random.State.int rng 24 in
+    let v = Random.State.int rng 1000 in
+    (k, v, Random.State.int rng 3 < 2)
   in
   let model =
-    Array.map render
-      (prefix_states
-         ~init:(IntMap.empty, IntMap.empty)
-         ~apply:(fun (m0, m1) (k, v, add1) ->
-           ( IntMap.add k v m0,
-             if add1 then IntMap.add k (v + 1) m1 else IntMap.remove k m1 ))
-         script)
+    {
+      start = (IntMap.empty, IntMap.empty);
+      step =
+        (fun (m0, m1) (k, v, add1) ->
+          ( IntMap.add k v m0,
+            key_step m1 (if add1 then Add (k, v + 1) else Remove k) ));
+      render =
+        (fun (m0, m1) -> map_model.render m0 ^ "|" ^ map_model.render m1);
+    }
   in
   let dump heap =
-    dump_map heap ^ "|"
-    ^
-    let h = Mod_core.Handle.make heap ~slot:1 in
-    render_pairs (IntMap.bindings (Imap.fold h IntMap.add IntMap.empty))
+    dump map_spec heap ^ "|"
+    ^ map_model.render (map_spec.read heap (Mod_core.Handle.make heap ~slot:1))
   in
-  {
-    name = "unrelated";
-    ops;
-    negative = false;
-    (* the embedded PM-STM transaction writes in place by design, so the
-       Section 5.4 MOD trace invariant does not apply *)
-    check_trace = false;
-    model;
-    make =
-      (fun heap ->
-        let tx = ref None in
-        let batch = ref None in
-        {
-          init =
-            (fun () ->
-              let t = Pmstm.Tx.create heap ~version:Pmstm.Tx.V1_5 in
-              tx := Some t;
-              batch := Some (Mod_core.Batch.create ~tx:t heap));
-          run_op =
-            (fun i ->
-              let b = Option.get !batch in
-              let k, v, add1 = arr.(i) in
-              Mod_core.Batch.stage b ~slot:0 (fun version ->
-                  Imap.insert_pure heap version k v);
-              Mod_core.Batch.stage b ~slot:1 (fun version ->
-                  if add1 then Imap.insert_pure heap version k (v + 1)
-                  else fst (Imap.remove_pure heap version k));
-              ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
-          dump = (fun () -> dump heap);
-          recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn ?stm:!tx heap));
-        });
-  }
+  (* the embedded PM-STM transaction writes in place by design, so the
+     Section 5.4 MOD trace invariant does not apply *)
+  scripted ~check_trace:false "unrelated" ~ops (draws op) model
+    (fun script heap ->
+      let tx = ref None in
+      let batch = ref None in
+      {
+        init =
+          (fun () ->
+            let t = Pmstm.Tx.create heap ~version:Pmstm.Tx.V1_5 in
+            tx := Some t;
+            batch := Some (Mod_core.Batch.create ~tx:t heap));
+        run_op =
+          (fun i ->
+            let b = Option.get !batch in
+            let k, v, add1 = script.(i) in
+            Mod_core.Batch.stage b ~slot:0 (fun version ->
+                Imap.insert_pure heap version k v);
+            Mod_core.Batch.stage b ~slot:1 (fun version ->
+                if add1 then Imap.insert_pure heap version k (v + 1)
+                else fst (Imap.remove_pure heap version k));
+            ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
+        dump = (fun () -> dump heap);
+        recover = (fun () -> recover_exn ?stm:!tx heap);
+      })
 
 (* -- PM-STM baselines ----------------------------------------------------- *)
 
@@ -660,77 +510,64 @@ let unrelated_workload ~ops =
    [broken] variant skips the snapshot fences and the commit-time data
    flushes -- the oracle must catch it. *)
 let stm_cells = 8
+let stm_op rng = (Random.State.int rng stm_cells, 1 + Random.State.int rng 99)
+let render_cells c = render_ints (Array.to_list c)
+
+(* The cell array at root slot 1: zeroed, flushed and installed. *)
+let alloc_cells heap =
+  let b = Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw ~words:stm_cells in
+  for i = 0 to stm_cells - 1 do
+    Pmalloc.Heap.store heap (b + i) (Pmem.Word.of_int 0)
+  done;
+  Pmalloc.Heap.flush_block heap b;
+  Pmalloc.Heap.root_set heap 1 (Pmem.Word.of_ptr b);
+  Pmalloc.Heap.sfence heap;
+  b
+
+let dump_cells heap =
+  let root = Pmalloc.Heap.root_get heap 1 in
+  if Pmem.Word.is_null root then render_cells (Array.make stm_cells 0)
+  else
+    let body = Pmem.Word.to_ptr root in
+    render_ints
+      (List.init stm_cells (fun i ->
+           Pmem.Word.to_int (Pmalloc.Heap.load heap (body + i))))
 
 let stm_workload name version ~broken ~ops =
-  let rng = Random.State.make [| seed_of name ~ops |] in
-  let script =
-    List.init ops (fun _ ->
-        (Random.State.int rng stm_cells, 1 + Random.State.int rng 99))
-  in
-  let arr = Array.of_list script in
   let model =
-    Array.map
-      (fun c -> render_ints (Array.to_list c))
-      (prefix_states
-         ~init:(Array.make stm_cells 0)
-         ~apply:(fun c (idx, delta) ->
-           let c' = Array.copy c in
-           c'.(idx) <- c'.(idx) + delta;
-           c')
-         script)
+    {
+      start = Array.make stm_cells 0;
+      step =
+        (fun c (idx, delta) ->
+          let c' = Array.copy c in
+          c'.(idx) <- c'.(idx) + delta;
+          c');
+      render = render_cells;
+    }
   in
-  let dump heap =
-    let root = Pmalloc.Heap.root_get heap 1 in
-    if Pmem.Word.is_null root then model.(0)
-    else
-      let body = Pmem.Word.to_ptr root in
-      render_ints
-        (List.init stm_cells (fun i ->
-             Pmem.Word.to_int (Pmalloc.Heap.load heap (body + i))))
-  in
-  {
-    name;
-    ops;
-    negative = broken;
-    check_trace = false (* in-place by design: invariant 1 never holds *);
-    model;
-    make =
-      (fun heap ->
-        let tx = ref None in
-        let body = ref (-1) in
-        {
-          init =
-            (fun () ->
-              let t =
-                Pmstm.Tx.create heap ~version ~broken_ordering:broken
-              in
-              tx := Some t;
-              let b =
-                Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw
-                  ~words:stm_cells
-              in
-              for i = 0 to stm_cells - 1 do
-                Pmalloc.Heap.store heap (b + i) (Pmem.Word.of_int 0)
-              done;
-              Pmalloc.Heap.flush_block heap b;
-              Pmalloc.Heap.root_set heap 1 (Pmem.Word.of_ptr b);
-              Pmalloc.Heap.sfence heap;
-              body := b);
-          run_op =
-            (fun i ->
-              let t = Option.get !tx in
-              let idx, delta = arr.(i) in
-              let off = !body + idx in
-              Pmstm.Tx.run t (fun () ->
-                  Pmstm.Tx.add t ~off ~words:1;
-                  let v = Pmem.Word.to_int (Pmstm.Tx.load t off) in
-                  Pmstm.Tx.store t off (Pmem.Word.of_int (v + delta))));
-          dump = (fun () -> dump heap);
-          recover =
-            (fun () ->
-              ignore (Mod_core.Recovery.recover_exn ?stm:!tx heap));
-        });
-  }
+  (* in-place by design: invariant 1 never holds *)
+  scripted ~negative:broken ~check_trace:false name ~ops (draws stm_op) model
+    (fun script heap ->
+      let tx = ref None in
+      let body = ref (-1) in
+      {
+        init =
+          (fun () ->
+            let t = Pmstm.Tx.create heap ~version ~broken_ordering:broken in
+            tx := Some t;
+            body := alloc_cells heap);
+        run_op =
+          (fun i ->
+            let t = Option.get !tx in
+            let idx, delta = script.(i) in
+            let off = !body + idx in
+            Pmstm.Tx.run t (fun () ->
+                Pmstm.Tx.add t ~off ~words:1;
+                let v = Pmem.Word.to_int (Pmstm.Tx.load t off) in
+                Pmstm.Tx.store t off (Pmem.Word.of_int (v + delta))));
+        dump = (fun () -> dump_cells heap);
+        recover = (fun () -> recover_exn ?stm:!tx heap);
+      })
 
 (* -- concurrent workloads ------------------------------------------------- *)
 
@@ -759,271 +596,143 @@ type ct = {
   cmake : Pmalloc.Heap.t -> cinstance;
 }
 
-(* Per-writer scripts draw from one small key range so writers genuinely
-   contend: overlapping keys force CAS retries and validation aborts. *)
-let cmap_scripts name ~writers ~ops =
-  Array.init writers (fun w ->
-      let rng =
-        Random.State.make
-          [| seed_of (Printf.sprintf "%s-w%d" name w) ~ops |]
-      in
-      Array.init ops (fun _ ->
-          let k = Random.State.int rng 12 in
-          if Random.State.int rng 3 < 2 then
-            Minsert (k, Random.State.int rng 1000)
-          else Mremove k))
-
-let render_map m = render_pairs (IntMap.bindings m)
-
-let cmap_workload ~writers ~ops =
-  let scripts = cmap_scripts "cmap" ~writers ~ops in
-  {
-    cname = "cmap";
-    cwriters = writers;
-    cops = ops;
-    cnegative = false;
-    cmake =
-      (fun heap ->
-        let tr = Oracle.tracker ~writers ~init:(render_map IntMap.empty) in
-        let model = ref IntMap.empty in
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        let run_op w op =
-          let apply m =
-            match op with
-            | Minsert (k, v) -> IntMap.add k v m
-            | Mremove k -> IntMap.remove k m
-          in
-          let build old =
-            match op with
-            | Minsert (k, v) -> Some (Imap.insert_pure heap old k v, [])
-            | Mremove k ->
-                let shadow, removed = Imap.remove_pure heap old k in
-                if removed then Some (shadow, []) else None
-          in
-          (* reclaim:false -- a racing writer may still be mid-build over
-             the superseded version; recovery GC scrubs the garbage *)
-          ignore
-            (Mod_core.Handle.update_cas h ~reclaim:false ~build
-               ~before_swing:(fun () ->
-                 Oracle.track_pending tr ~writer:w
-                   (render_map (apply !model)))
-               ~after_swing:(fun () ->
-                 model := apply !model;
-                 Oracle.track_commit tr ~writer:w (render_map !model))
-              : int)
-        in
-        {
-          c_init = (fun () -> ignore (Imap.open_or_create heap ~slot:0));
-          c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
-          c_tracker = tr;
-          c_dump = (fun () -> dump_map heap);
-          c_recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-let cset_scripts ~writers ~ops =
-  Array.init writers (fun w ->
-      let rng =
-        Random.State.make
-          [| seed_of (Printf.sprintf "cset-w%d" w) ~ops |]
-      in
-      Array.init ops (fun _ ->
-          let k = Random.State.int rng 12 in
-          if Random.State.int rng 3 < 2 then Sadd k else Sremove k))
-
-let cset_workload ~writers ~ops =
-  let scripts = cset_scripts ~writers ~ops in
-  let render s = render_ints (IntSet.elements s) in
-  {
-    cname = "cset";
-    cwriters = writers;
-    cops = ops;
-    cnegative = false;
-    cmake =
-      (fun heap ->
-        let tr = Oracle.tracker ~writers ~init:(render IntSet.empty) in
-        let model = ref IntSet.empty in
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        let run_op w op =
-          let apply s =
-            match op with
-            | Sadd k -> IntSet.add k s
-            | Sremove k -> IntSet.remove k s
-          in
-          let build old =
-            match op with
-            | Sadd k -> Some (Iset.add_pure heap old k, [])
-            | Sremove k ->
-                let shadow, removed = Iset.remove_pure heap old k in
-                if removed then Some (shadow, []) else None
-          in
-          ignore
-            (Mod_core.Handle.update_cas h ~reclaim:false ~build
-               ~before_swing:(fun () ->
-                 Oracle.track_pending tr ~writer:w (render (apply !model)))
-               ~after_swing:(fun () ->
-                 model := apply !model;
-                 Oracle.track_commit tr ~writer:w (render !model))
-              : int)
-        in
-        {
-          c_init = (fun () -> ignore (Iset.open_or_create heap ~slot:0));
-          c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
-          c_tracker = tr;
-          c_dump =
-            (fun () ->
-              Iset.reconstruct heap ~slot:0;
-              let h = Mod_core.Handle.make heap ~slot:0 in
-              render_ints
-                (IntSet.elements (Iset.fold h IntSet.add IntSet.empty)));
-          c_recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-(* Two writers over the NOrec STM: read-modify-write increments of a
-   shared counter array, each commit serialized by the sequence lock and
-   made durable by the published redo log.  The model advances at the
-   publish fence (the durable linearization point). *)
-let cstm_norec_workload ~writers ~ops =
+(* One script per writer, each seeded by [seed]-w<i>.  [make heap
+   fibers] builds the instance; [fibers run_op] are the writer bodies,
+   each running its script through [run_op writer]. *)
+let concurrent ?(negative = false) ?seed name ~writers ~ops op make =
+  let seed = Option.value seed ~default:name in
   let scripts =
     Array.init writers (fun w ->
         let rng =
           Random.State.make
-            [| seed_of (Printf.sprintf "cstm-w%d" w) ~ops |]
+            [| seed_of (Printf.sprintf "%s-w%d" seed w) ~ops |]
         in
-        Array.init ops (fun _ ->
-            (Random.State.int rng stm_cells, 1 + Random.State.int rng 99)))
+        Array.init ops (fun _ -> op rng))
+  in
+  let fibers run_op =
+    Array.init writers (fun w () -> Array.iter (run_op w) scripts.(w))
   in
   {
-    cname = "cstm-norec";
+    cname = name;
     cwriters = writers;
     cops = ops;
-    cnegative = false;
-    cmake =
-      (fun heap ->
-        let render c = render_ints (Array.to_list c) in
-        let model = Array.make stm_cells 0 in
-        let tr = Oracle.tracker ~writers ~init:(render model) in
-        let stm = ref None in
-        let body = ref (-1) in
-        let run_op w (idx, delta) =
-          let s = Option.get !stm in
-          let off = !body + idx in
-          Pmstm.Norec.run
-            ~before_publish:(fun () ->
-              let c = Array.copy model in
-              c.(idx) <- c.(idx) + delta;
-              Oracle.track_pending tr ~writer:w (render c))
-            ~after_publish:(fun () ->
-              model.(idx) <- model.(idx) + delta;
-              Oracle.track_commit tr ~writer:w (render model))
-            s
-            (fun tx ->
-              let v = Pmem.Word.to_int (Pmstm.Norec.read tx off) in
-              Pmstm.Norec.write tx off (Pmem.Word.of_int (v + delta)))
-        in
-        {
-          c_init =
-            (fun () ->
-              let b =
-                Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw
-                  ~words:stm_cells
-              in
-              for i = 0 to stm_cells - 1 do
-                Pmalloc.Heap.store heap (b + i) (Pmem.Word.of_int 0)
-              done;
-              Pmalloc.Heap.flush_block heap b;
-              Pmalloc.Heap.root_set heap 1 (Pmem.Word.of_ptr b);
-              Pmalloc.Heap.sfence heap;
-              body := b;
-              let s = Pmstm.Norec.create heap in
-              Pmstm.Norec.set_yield s Interleave.yield;
-              stm := Some s);
-          c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
-          c_tracker = tr;
-          c_dump =
-            (fun () ->
-              let root = Pmalloc.Heap.root_get heap 1 in
-              if Pmem.Word.is_null root then render (Array.make stm_cells 0)
-              else
-                let b = Pmem.Word.to_ptr root in
-                render_ints
-                  (List.init stm_cells (fun i ->
-                       Pmem.Word.to_int (Pmalloc.Heap.load heap (b + i)))));
-          c_recover =
-            (fun () ->
-              ignore (Mod_core.Recovery.recover_exn ~norec:true heap));
-        });
+    cnegative = negative;
+    cmake = (fun heap -> make heap fibers);
   }
 
-(* The concurrent negative control: lock-free CAS commits whose
+(* A commit step: install the shadow [build] derives from the current
+   root, calling [before_swing] at each swing attempt and [after_swing]
+   once the swing wins. *)
+type commit =
+  Mod_core.Handle.t ->
+  build:(Pmem.Word.t -> Pmem.Word.t option) ->
+  before_swing:(unit -> unit) ->
+  after_swing:(unit -> unit) ->
+  unit
+
+(* reclaim:false -- a racing writer may still be mid-build over the
+   superseded version; recovery GC scrubs the garbage *)
+let cas_commit : commit =
+ fun h ~build ~before_swing ~after_swing ->
+  ignore
+    (Mod_core.Handle.update_cas h ~reclaim:false
+       ~build:(fun old -> Option.map (fun s -> (s, [])) (build old))
+       ~before_swing ~after_swing
+      : int)
+
+(* The concurrent negative control's commit: a lock-free CAS whose
    pre-swing sfence is missing, so the root record can become durable
-   while the shadow nodes it points at are still in flight.  The
-   concurrent oracle must catch it; losing attempts leak their shadows
-   on purpose (recovery reclaims them -- a real power failure would not
-   unwind the loser either). *)
-let cmap_nofence_cworkload ~writers ~ops =
-  let scripts = cmap_scripts "cmap" ~writers ~ops in
-  {
-    cname = "cmap-nofence";
-    cwriters = writers;
-    cops = ops;
-    cnegative = true;
-    cmake =
-      (fun heap ->
-        let tr = Oracle.tracker ~writers ~init:(render_map IntMap.empty) in
-        let model = ref IntMap.empty in
-        let run_op w op =
-          let apply m =
-            match op with
-            | Minsert (k, v) -> IntMap.add k v m
-            | Mremove k -> IntMap.remove k m
-          in
-          let rec attempt () =
-            let old, old_seq = Pmalloc.Heap.root_get_versioned heap 0 in
-            let shadow =
-              match op with
-              | Minsert (k, v) -> Some (Imap.insert_pure heap old k v)
-              | Mremove k ->
-                  let s, removed = Imap.remove_pure heap old k in
-                  if removed then Some s else None
-            in
-            match shadow with
-            | None -> ()
-            | Some shadow ->
-                (* missing ordering point: no sfence before the swing *)
-                Oracle.track_pending tr ~writer:w
-                  (render_map (apply !model));
-                if
-                  Pmalloc.Heap.root_cas heap 0 ~expected:old
-                    ~expected_seq:old_seq ~desired:shadow
-                then begin
-                  model := apply !model;
-                  Oracle.track_commit tr ~writer:w (render_map !model)
-                end
-                else attempt ()
-          in
-          attempt ()
-        in
-        {
-          c_init = (fun () -> ignore (Imap.open_or_create heap ~slot:0));
-          c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
-          c_tracker = tr;
-          c_dump = (fun () -> dump_map heap);
-          c_recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
+   while the shadow nodes it points at are still in flight.  Losing
+   attempts leak their shadows on purpose (recovery reclaims them -- a
+   real power failure would not unwind the loser either). *)
+let nofence_commit : commit =
+ fun h ~build ~before_swing ~after_swing ->
+  let heap = Mod_core.Handle.heap h in
+  let rec attempt () =
+    let old, old_seq = Pmalloc.Heap.root_get_versioned heap 0 in
+    match build old with
+    | None -> ()
+    | Some shadow ->
+        (* missing ordering point: no sfence before the swing *)
+        before_swing ();
+        if
+          Pmalloc.Heap.root_cas heap 0 ~expected:old ~expected_seq:old_seq
+            ~desired:shadow
+        then after_swing ()
+        else attempt ()
+  in
+  attempt ()
+
+(* Lock-free CAS commits of one keyed structure ([s] with its pure ops
+   [pure]), every writer's model step tracked at its linearization
+   point. *)
+let keyed_cas ?negative ?seed name (s : ('v key_op, 'v IntMap.t) spec) pure
+    value ~(commit : commit) ~writers ~ops =
+  let (module S) = s.structure in
+  let render = s.model.render in
+  (* per-writer scripts draw from a small key range so writers genuinely
+     contend: overlapping keys force CAS retries *)
+  concurrent ?negative ?seed name ~writers ~ops (key_op ~keys:12 value)
+    (fun heap fibers ->
+      let tr = Oracle.tracker ~writers ~init:(render s.model.start) in
+      let model = ref s.model.start in
+      let h = Mod_core.Handle.make heap ~slot:0 in
+      let run_op w op =
+        let next () = s.model.step !model op in
+        commit h ~build:(fun old -> pure heap old op)
+          ~before_swing:(fun () ->
+            Oracle.track_pending tr ~writer:w (render (next ())))
+          ~after_swing:(fun () ->
+            model := next ();
+            Oracle.track_commit tr ~writer:w (render !model))
+      in
+      {
+        c_init = (fun () -> ignore (S.open_or_create heap ~slot:0));
+        c_writers = fibers run_op;
+        c_tracker = tr;
+        c_dump = (fun () -> dump s heap);
+        c_recover = (fun () -> recover_exn heap);
+      })
+
+(* Writers over the NOrec STM: read-modify-write increments of a shared
+   counter array, each commit serialized by the sequence lock and made
+   durable by the published redo log.  The model advances at the publish
+   fence (the durable linearization point). *)
+let cstm_norec_workload ~writers ~ops =
+  concurrent "cstm-norec" ~seed:"cstm" ~writers ~ops stm_op
+    (fun heap fibers ->
+      let model = Array.make stm_cells 0 in
+      let tr = Oracle.tracker ~writers ~init:(render_cells model) in
+      let stm = ref None in
+      let body = ref (-1) in
+      let run_op w (idx, delta) =
+        let s = Option.get !stm in
+        let off = !body + idx in
+        Pmstm.Norec.run
+          ~before_publish:(fun () ->
+            let c = Array.copy model in
+            c.(idx) <- c.(idx) + delta;
+            Oracle.track_pending tr ~writer:w (render_cells c))
+          ~after_publish:(fun () ->
+            model.(idx) <- model.(idx) + delta;
+            Oracle.track_commit tr ~writer:w (render_cells model))
+          s
+          (fun tx ->
+            let v = Pmem.Word.to_int (Pmstm.Norec.read tx off) in
+            Pmstm.Norec.write tx off (Pmem.Word.of_int (v + delta)))
+      in
+      {
+        c_init =
+          (fun () ->
+            body := alloc_cells heap;
+            let s = Pmstm.Norec.create heap in
+            Pmstm.Norec.set_yield s Interleave.yield;
+            stm := Some s);
+        c_writers = fibers run_op;
+        c_tracker = tr;
+        c_dump = (fun () -> dump_cells heap);
+        c_recover = (fun () -> recover_exn ~norec:true heap);
+      })
 
 let concurrent_positive_names = [ "cmap"; "cset"; "cstm-norec" ]
 let concurrent_negative_names = [ "cmap-nofence" ]
@@ -1032,10 +741,16 @@ let concurrent_names = concurrent_positive_names @ concurrent_negative_names
 let cbuild name ~writers ~ops =
   if writers < 1 then invalid_arg "Workload.cbuild: writers must be >= 1";
   match name with
-  | "cmap" -> cmap_workload ~writers ~ops
-  | "cset" -> cset_workload ~writers ~ops
+  | "cmap" ->
+      keyed_cas "cmap" map_spec map_pure map_value ~commit:cas_commit
+        ~writers ~ops
+  | "cset" ->
+      keyed_cas "cset" set_spec set_pure set_value ~commit:cas_commit
+        ~writers ~ops
   | "cstm-norec" -> cstm_norec_workload ~writers ~ops
-  | "cmap-nofence" -> cmap_nofence_cworkload ~writers ~ops
+  | "cmap-nofence" ->
+      keyed_cas ~negative:true ~seed:"cmap" "cmap-nofence" map_spec map_pure
+        map_value ~commit:nofence_commit ~writers ~ops
   | _ ->
       invalid_arg
         (Printf.sprintf
@@ -1079,20 +794,22 @@ let build ?persist name ~ops =
           name
           (String.concat ", " backup_names)));
   match name with
-  | "map" -> map_workload ?persist ~ops ()
-  | "queue" -> queue_workload ?persist ~ops ()
-  | "stack" -> stack_workload ?persist ~ops ()
-  | "vec" -> vec_workload ?persist ~ops ()
-  | "set" -> set_workload ?persist ~ops ()
-  | "pqueue" -> pqueue_workload ?persist ~ops ()
-  | "seq" -> seq_workload ?persist ~ops ()
-  | "batched" -> batched_workload ?persist ~ops ()
+  | "map" -> single ?persist name map_spec ~ops
+  | "queue" -> single ?persist name queue_spec ~ops
+  | "stack" -> single ?persist name stack_spec ~ops
+  | "vec" -> single ?persist name vec_spec ~ops
+  | "set" -> single ?persist name set_spec ~ops
+  | "pqueue" -> single ?persist name pqueue_spec ~ops
+  | "seq" -> single ?persist name seq_spec ~ops
+  | "batched" -> single ?persist name batched_spec ~ops
   | "siblings" -> siblings_workload ~ops
   | "unrelated" -> unrelated_workload ~ops
-  | "stm14" -> stm_workload "stm14" Pmstm.Tx.V1_4 ~broken:false ~ops
-  | "stm15" -> stm_workload "stm15" Pmstm.Tx.V1_5 ~broken:false ~ops
-  | "stm-broken" -> stm_workload "stm-broken" Pmstm.Tx.V1_4 ~broken:true ~ops
-  | "map-nofence" -> map_nofence_workload ~ops
+  | "stm14" -> stm_workload name Pmstm.Tx.V1_4 ~broken:false ~ops
+  | "stm15" -> stm_workload name Pmstm.Tx.V1_5 ~broken:false ~ops
+  | "stm-broken" -> stm_workload name Pmstm.Tx.V1_4 ~broken:true ~ops
+  | "map-nofence" ->
+      single ~negative:true ~opens:false ~seed:"map" name map_nofence_spec
+        ~ops
   | _ ->
       invalid_arg
         (Printf.sprintf "Workload.build: unknown workload %S (expected %s)"

@@ -23,6 +23,9 @@ type t = {
       (** negative control: the oracle is expected to report violations *)
   check_trace : bool;
       (** also run the Section 5.4 trace checker (MOD-only invariant) *)
+  persist : Pmalloc.Heap.policy;
+      (** the commit policy it was built under ([Full] unless [build]
+          was given [~persist:Backup]) *)
   model : state array;  (** [model.(i)] = state after [i] operations *)
   make : Pmalloc.Heap.t -> instance;
       (** per-heap instance; construction performs no PM work ([init]

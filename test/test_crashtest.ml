@@ -217,6 +217,13 @@ let sweep_tests =
 
 (* -- negative controls and minimal-repro replay ------------------------------- *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let negative_tests =
   List.map
     (fun name ->
@@ -236,13 +243,6 @@ let negative_tests =
           Alcotest.(check bool) "replay is deterministic" true
             (Crashtest.Replay.reproduces ~cfg:quick_cfg f);
           let cmd = Crashtest.Replay.command f in
-          let contains s sub =
-            let n = String.length sub in
-            let rec go i =
-              i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-            in
-            go 0
-          in
           Alcotest.(check bool) "command names the crash index" true
             (contains cmd "--replay");
           let f' = Crashtest.Replay.minimize ~cfg:quick_cfg f in
@@ -251,6 +251,75 @@ let negative_tests =
           Alcotest.(check bool) "shrunk repro still reproduces" true
             (Crashtest.Replay.reproduces ~cfg:quick_cfg f')))
     Crashtest.Workload.negative_names
+
+(* A fault-sample failure names its point's fault schedule and the
+   sweep's master seed; replaying that schedule must reproduce it. *)
+let fault_repro_tests =
+  [
+    Alcotest.test_case "every fault-sample failure reproduces" `Quick
+      (fun () ->
+        let cfg =
+          { Crashtest.Explorer.default with randomize_samples = 1;
+            faults = true }
+        in
+        let w = Crashtest.Workload.build "map-nofence" ~ops:6 in
+        let r = Crashtest.Explorer.explore ~cfg w in
+        let fs =
+          List.filter
+            (fun (f : Crashtest.Explorer.failure) -> f.faults <> None)
+            r.Crashtest.Explorer.failures
+        in
+        Alcotest.(check int) "fault-sample failures" 14 (List.length fs);
+        List.iter
+          (fun (f : Crashtest.Explorer.failure) ->
+            let cmd = Crashtest.Replay.command f in
+            Alcotest.(check bool)
+              (cmd ^ " replays the fault schedule") true
+              (contains cmd "--faults --seed 1");
+            Alcotest.(check bool) (cmd ^ " reproduces") true
+              (Crashtest.Replay.reproduces f))
+          fs;
+        let f' = Crashtest.Replay.minimize (List.hd fs) in
+        Alcotest.(check bool) "shrunk fault repro still reproduces" true
+          (Crashtest.Replay.reproduces f'));
+    Alcotest.test_case "a Backup failure replays under Backup" `Quick
+      (fun () ->
+        let f =
+          {
+            Crashtest.Explorer.workload = "map";
+            ops = 8;
+            persist = Pmalloc.Heap.Backup;
+            crash_index = 40;
+            mode = Pmem.Region.Drop_inflight;
+            survival_seed = None;
+            faults = None;
+            detail = "";
+          }
+        in
+        Alcotest.(check bool) "command carries the policy" true
+          (contains (Crashtest.Replay.command f) "--persist backup");
+        Alcotest.(check bool) "a Full command does not" false
+          (contains
+             (Crashtest.Replay.command { f with persist = Pmalloc.Heap.Full })
+             "--persist");
+        (* siblings has no Backup form: a rebuild under the failure's
+           policy is rejected, under Full it would run *)
+        let sib = { f with workload = "siblings" } in
+        let rejected run =
+          match run () with
+          | _ -> false
+          | exception Invalid_argument msg -> contains msg "Backup"
+        in
+        Alcotest.(check bool) "reproduces builds under Backup" true
+          (rejected (fun () -> ignore (Crashtest.Replay.reproduces sib)));
+        Alcotest.(check bool) "minimize builds under Backup" true
+          (rejected (fun () -> ignore (Crashtest.Replay.minimize sib)));
+        Alcotest.(check bool) "the same failure under Full rebuilds" false
+          (rejected (fun () ->
+               ignore
+                 (Crashtest.Replay.reproduces
+                    { sib with persist = Pmalloc.Heap.Full }))));
+  ]
 
 (* -- journaled + parallel sweeps match the full-copy reference ---------------- *)
 
@@ -327,6 +396,124 @@ let parity_tests =
             (Crashtest.Explorer.points_per_sec r > 0.0));
     ]
 
+(* -- pinned workload scripts ------------------------------------------------ *)
+
+(* Every registered workload's script, pinned by a digest of its model
+   (every prefix state the oracle compares against) and by the PM event
+   count of its uncrashed run.  A crash index in a printed repro names
+   one PM event of that stream, so a change to either silently re-targets
+   every recorded repro. *)
+let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+
+let pinned_full =
+  [
+    ("map", "f0f14dd07fa394ae", 181); ("queue", "a03a3d35a6164084", 153);
+    ("stack", "a6507d7222a5b9d8", 88); ("vec", "ee704cfd076d4181", 178);
+    ("set", "b40c74a261196322", 168); ("pqueue", "3bfe9dcad4d23c18", 144);
+    ("seq", "6a9ff15def1d9e57", 244); ("batched", "d52f1ac7c8c69ec0", 629);
+    ("siblings", "a9f2d7d0442e0d63", 197);
+    ("unrelated", "41e7b01193afe7d8", 721);
+    ("stm14", "56a4bc600dea26d9", 265); ("stm15", "5c3356dbfd50700f", 217);
+    ("stm-broken", "157599bcf0375148", 205);
+    ("map-nofence", "f0f14dd07fa394ae", 171);
+  ]
+
+let pinned_backup =
+  [
+    ("map", "f0f14dd07fa394ae", 188); ("queue", "a03a3d35a6164084", 159);
+    ("stack", "a6507d7222a5b9d8", 108); ("vec", "ee704cfd076d4181", 183);
+    ("set", "b40c74a261196322", 175); ("pqueue", "3bfe9dcad4d23c18", 157);
+    ("seq", "6a9ff15def1d9e57", 234); ("batched", "d52f1ac7c8c69ec0", 740);
+  ]
+
+(* (workload, schedule) -> digest of the serialized final model state,
+   uncrashed PM events; 2 writers x 12 ops *)
+let pinned_concurrent =
+  [
+    ("cmap", "rr1", "5494c8c08bdb27da", 431);
+    ("cmap", "rr3", "5494c8c08bdb27da", 431);
+    ("cmap", "rr7", "27a3988696897827", 425);
+    ("cmap", "seeded1", "27a3988696897827", 433);
+    ("cmap", "seeded2", "ad170e72283875ab", 525);
+    ("cset", "rr1", "b015cbd9f8d1d4b1", 506);
+    ("cset", "rr3", "b015cbd9f8d1d4b1", 543);
+    ("cset", "rr7", "b015cbd9f8d1d4b1", 500);
+    ("cset", "seeded1", "b015cbd9f8d1d4b1", 614);
+    ("cset", "seeded2", "b53921b429621443", 640);
+    ("cstm-norec", "rr1", "7b017a796bf3a540", 336);
+    ("cstm-norec", "rr3", "7b017a796bf3a540", 336);
+    ("cstm-norec", "rr7", "7b017a796bf3a540", 336);
+    ("cstm-norec", "seeded1", "7b017a796bf3a540", 336);
+    ("cstm-norec", "seeded2", "7b017a796bf3a540", 336);
+    ("cmap-nofence", "rr1", "5494c8c08bdb27da", 402);
+    ("cmap-nofence", "rr3", "5494c8c08bdb27da", 402);
+    ("cmap-nofence", "rr7", "1d661ba299d7d278", 488);
+    ("cmap-nofence", "seeded1", "27a3988696897827", 416);
+    ("cmap-nofence", "seeded2", "ad170e72283875ab", 513);
+  ]
+
+let pin_sequential ?persist pinned names () =
+  Alcotest.(check (list string))
+    "every workload pinned" names
+    (List.map (fun (n, _, _) -> n) pinned);
+  List.iter
+    (fun (name, model, events) ->
+      let w = Crashtest.Workload.build ?persist name ~ops:12 in
+      Alcotest.(check string)
+        (name ^ ": model digest") model
+        (digest
+           (String.concat "\n" (Array.to_list w.Crashtest.Workload.model)));
+      match
+        Crashtest.Explorer.run_until Crashtest.Explorer.default w ~budget:None
+      with
+      | `Completed (n, _) ->
+          Alcotest.(check int) (name ^ ": PM events") events n
+      | `Crashed _ -> Alcotest.fail "no budget was armed")
+    pinned
+
+let pin_concurrent () =
+  let expected =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun s -> (n, Crashtest.Interleave.schedule_name s))
+          Crashtest.Explorer.default_schedules)
+      Crashtest.Workload.concurrent_names
+  in
+  Alcotest.(check (list (pair string string)))
+    "every (workload, schedule) pinned" expected
+    (List.map (fun (n, s, _, _) -> (n, s)) pinned_concurrent);
+  List.iter
+    (fun (name, sched, model, events) ->
+      let cw = Crashtest.Workload.cbuild name ~writers:2 ~ops:12 in
+      let schedule =
+        Result.get_ok (Crashtest.Interleave.schedule_of_name sched)
+      in
+      let label = name ^ " " ^ sched in
+      match
+        Crashtest.Explorer.crun_until Crashtest.Explorer.default cw ~schedule
+          ~budget:None
+      with
+      | `Completed (n, _, inst) ->
+          Alcotest.(check string)
+            (label ^ ": final model digest") model
+            (digest
+               (Crashtest.Oracle.latest inst.Crashtest.Workload.c_tracker));
+          Alcotest.(check int) (label ^ ": PM events") events n
+      | `Crashed _ -> Alcotest.fail "no budget was armed")
+    pinned_concurrent
+
+let pin_tests =
+  [
+    Alcotest.test_case "scripts and event streams pinned (Full)" `Quick
+      (pin_sequential pinned_full Crashtest.Workload.names);
+    Alcotest.test_case "scripts and event streams pinned (Backup)" `Quick
+      (pin_sequential ~persist:Pmalloc.Heap.Backup pinned_backup
+         Crashtest.Workload.backup_names);
+    Alcotest.test_case "concurrent scripts and event streams pinned" `Quick
+      pin_concurrent;
+  ]
+
 (* -- seeded crash/recover reporting ------------------------------------------ *)
 
 let seed_tests =
@@ -357,6 +544,8 @@ let () =
       ("consistency-order", consistency_tests);
       ("sweep", sweep_tests);
       ("negative", negative_tests);
+      ("fault-repro", fault_repro_tests);
       ("parity", parity_tests);
+      ("pinned", pin_tests);
       ("seed", seed_tests);
     ]
